@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import diagnostics, handshake as hs, secure_channel as sc, sndef
-from .errors import NfcBmsError
+from .errors import BadFlags, NfcBmsError
 
 SECRECY_WINDOW = 8
 
@@ -68,7 +69,6 @@ class LinkChannel:
 class Eavesdrop:
     """Passive: records everything, changes nothing."""
 
-    name = "eavesdrop"
     observed: list = field(default_factory=list)
 
     def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
@@ -80,7 +80,6 @@ class Eavesdrop:
 class Replay:
     """Substitute one frame with the same-slot frame of an earlier session."""
 
-    name = "replay"
     frame_index: int = 2
     prior_frames: list = field(default_factory=list)
 
@@ -94,7 +93,6 @@ class Replay:
 class Reflect:
     """Bounce the controller's own challenge ciphertext back as message 3."""
 
-    name = "reflect"
     _msg2_chal: bytes | None = None
     _reader_id: bytes | None = None
 
@@ -106,7 +104,7 @@ class Reflect:
             self._msg2_chal = frame[hs.FRAME_HEADER_LEN + 16:]
         if frame_no == 3 and self._msg2_chal is not None:
             forged = hs.HandshakeMessage(3, self._reader_id, self._msg2_chal).to_bytes()
-            return _wrap_handshake(forged)
+            return _wrap(sndef.NdefRecord(sndef.RecordType.HANDSHAKE, forged))
         return wire
 
 
@@ -119,19 +117,14 @@ class ChosenChallenge:
     controller's counter-challenge with garbage.
     """
 
-    name = "chosen-challenge"
     probes: list = field(default_factory=list)
     responses: list = field(default_factory=list)
-
-    def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
-        return wire
 
 
 @dataclass
 class BitFlip:
     """Flip one bit of one frame in transit."""
 
-    name = "bitflip"
     frame_index: int = 4
     bit_index: int = 0  # taken modulo the frame's bit length
 
@@ -152,6 +145,7 @@ class FailureInfo:
     frame_no: int
     operation: str
     error: str
+    detail: str = ""  # the error's message; not part of the JSON outcome
 
 
 @dataclass
@@ -187,27 +181,34 @@ class SessionOutcome:
         }
 
 
-def _wrap_handshake(frame: bytes) -> bytes:
-    return sndef.encode_message(
-        sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.HANDSHAKE, frame)])
-    )
+@dataclass
+class DrivenSession:
+    """What one driven session leaves for its caller to build on."""
+
+    outcome: SessionOutcome
+    reader: hs.HandshakeState
+    plaintexts: list  # the encoded workload, in send order
+    received: list = field(default_factory=list)  # packets the reader opened and decoded
 
 
-def _unwrap_handshake(wire: bytes) -> bytes:
-    msg = sndef.decode_message(wire)
-    rec = msg.records[0]
-    if rec.type_code != sndef.RecordType.HANDSHAKE:
-        raise sndef.UnknownType("expected a handshake record")
-    return rec.payload
+def _wrap(record: sndef.NdefRecord) -> bytes:
+    """A link frame: a one-record NDEF message."""
+    return sndef.encode_message(sndef.NdefMessage([record]))
 
 
-def _wrap_record(record: sc.SecureRecord) -> bytes:
-    return sndef.encode_message(sndef.NdefMessage([sndef.wrap_secure(record)]))
+def _unwrap(wire: bytes) -> sndef.NdefRecord:
+    """The one record a link frame carries."""
+    records = sndef.decode_message(wire).records
+    if len(records) != 1:
+        raise BadFlags(f"a link frame is one record, got {len(records)}")
+    return records[0]
 
 
-def _unwrap_record(wire: bytes) -> sc.SecureRecord:
-    msg = sndef.decode_message(wire)
-    return sndef.unwrap_secure(msg.records[0])
+def _handshake_payload(wire: bytes) -> bytes:
+    record = _unwrap(wire)
+    if record.type_code != sndef.RecordType.HANDSHAKE:
+        raise sndef.UnknownType(f"expected HANDSHAKE, got {record.type_code.name}")
+    return record.payload
 
 
 def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
@@ -222,18 +223,31 @@ def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     return hits
 
 
-def run_session(
+# One row per handshake frame after message 1: the message number a
+# failure is reported at (the message the receiving step would send, 5
+# for the final check), the frame's direction, and the step of the
+# receiving endpoint that consumes it and produces the next frame.
+HANDSHAKE_FLOW = (
+    (2, "reader->controller", "controller_respond"),
+    (3, "controller->reader", "reader_answer"),
+    (4, "reader->controller", "controller_key_confirm"),
+    (5, "controller->reader", "reader_key_confirm"),
+    (5, "reader->controller", "controller_finalize"),
+)
+
+
+def drive_session(
     channel: LinkChannel,
     reader_cfg: EndpointConfig,
     controller_cfg: EndpointConfig,
     workload: list,
-) -> SessionOutcome:
+) -> DrivenSession:
     """Full handshake plus workload delivery over the (possibly hostile) link.
 
-    Protocol errors are recorded in the outcome, never raised: the
-    outcome names the frame number and error that ended the session.
+    Every frame travels as a one-record NDEF message.  Protocol errors
+    are recorded in the outcome, never raised: the outcome names the
+    message number and error that ended the session.
     """
-    outcome = SessionOutcome()
     reader = hs.HandshakeState.reader(
         reader_cfg.principal_id, controller_cfg.principal_id, reader_cfg.master, reader_cfg.rng()
     )
@@ -241,71 +255,69 @@ def run_session(
         controller_cfg.principal_id, reader_cfg.principal_id, controller_cfg.master,
         controller_cfg.rng(),
     )
-
     plaintexts = [diagnostics.encode_diag(p) for p in workload]
+    session = DrivenSession(SessionOutcome(), reader, plaintexts)
+    outcome = session.outcome
 
     def step(frame_no: int, operation: str, fn):
         try:
             return fn()
         except NfcBmsError as exc:
-            outcome.first_failure = FailureInfo(frame_no, operation, type(exc).__name__)
+            outcome.first_failure = FailureInfo(frame_no, operation, type(exc).__name__, str(exc))
             return None
 
-    try:
-        m1 = reader.reader_start().to_bytes()
-        wire = channel.transfer("reader->controller", _wrap_handshake(m1))
-        m2 = step(2, "controller_respond",
-                  lambda: controller.controller_respond(_unwrap_handshake(wire)).to_bytes())
-        if m2 is not None:
-            wire = channel.transfer("controller->reader", _wrap_handshake(m2))
-            m3 = step(3, "reader_answer",
-                      lambda: reader.reader_answer(_unwrap_handshake(wire)).to_bytes())
-        else:
-            m3 = None
-        if m3 is not None:
-            wire = channel.transfer("reader->controller", _wrap_handshake(m3))
-            m4 = step(4, "controller_key_confirm",
-                      lambda: controller.controller_key_confirm(_unwrap_handshake(wire)).to_bytes())
-        else:
-            m4 = None
-        if m4 is not None:
-            wire = channel.transfer("controller->reader", _wrap_handshake(m4))
-            m5 = step(5, "reader_key_confirm",
-                      lambda: reader.reader_key_confirm(_unwrap_handshake(wire)).to_bytes())
-        else:
-            m5 = None
-        if m5 is not None:
-            wire = channel.transfer("reader->controller", _wrap_handshake(m5))
-            step(5, "controller_finalize",
-                 lambda: controller.controller_finalize(_unwrap_handshake(wire)))
-    finally:
-        outcome.established_reader = reader.phase == hs.Phase.ESTABLISHED
-        outcome.established_controller = controller.phase == hs.Phase.ESTABLISHED
+    frame = reader.reader_start().to_bytes()
+    for msg_no, direction, operation in HANDSHAKE_FLOW:
+        record = sndef.NdefRecord(sndef.RecordType.HANDSHAKE, frame)
+        wire = channel.transfer(direction, _wrap(record))
+        receive = getattr(controller if direction.endswith("controller") else reader, operation)
+        reply = step(msg_no, operation, lambda: receive(_handshake_payload(wire)))
+        if reply is None:  # a failure, or the final step, which sends nothing
+            break
+        frame = reply.to_bytes()
+    outcome.established_reader = reader.phase == hs.Phase.ESTABLISHED
+    outcome.established_controller = controller.phase == hs.Phase.ESTABLISHED
 
     if outcome.established:
-        for i, plain in enumerate(plaintexts):
-            frame_no = 6 + i
-            record = sc.seal_record(controller.channel, plain, b"", controller.rng)
-            wire = channel.transfer("controller->reader", _wrap_record(record))
-
-            def open_one(w=wire):
-                received = sc.open_record(reader.channel, _unwrap_record(w))
-                diagnostics.decode_diag(received)
-                return received
-
-            if step(frame_no, "open_record", open_one) is None:
+        for frame_no, plain in enumerate(session.plaintexts, start=6):
+            sealed = step(frame_no, "seal_record", lambda: _wrap(
+                sndef.wrap_secure(sc.seal_record(controller.channel, plain, b"", controller.rng))
+            ))
+            if sealed is None:
                 break
-            outcome.packets_delivered += 1
-
-    outcome.secrecy_hits = scan_secrecy(channel.transcript_blob(), plaintexts)
+            wire = channel.transfer("controller->reader", sealed)
+            packet = step(frame_no, "open_record", lambda: diagnostics.decode_diag(
+                sc.open_record(reader.channel, sndef.unwrap_secure(_unwrap(wire)))
+            ))
+            if packet is None:
+                break
+            session.received.append(packet)
+    outcome.packets_delivered = len(session.received)
     outcome.frames_on_link = len(channel.transcript)
-    return outcome
+    return session
+
+
+def run_session(
+    channel: LinkChannel,
+    reader_cfg: EndpointConfig,
+    controller_cfg: EndpointConfig,
+    workload: list,
+) -> SessionOutcome:
+    """:func:`drive_session` plus the secrecy scan of the whole transcript."""
+    session = drive_session(channel, reader_cfg, controller_cfg, workload)
+    session.outcome.secrecy_hits = scan_secrecy(channel.transcript_blob(), session.plaintexts)
+    return session.outcome
 
 
 def run_chosen_challenge(
     controller_cfg: EndpointConfig, strategy: ChosenChallenge, rng: random.Random
 ) -> SessionOutcome:
-    """Adversary-as-reader probing runs; must die at the key confirmation."""
+    """Adversary-as-reader probing runs; must die at the key confirmation.
+
+    The harness holds the key, so it also checks the oracle shape of
+    every response (double transform, never single) and records a
+    secrecy hit for each response that is not.
+    """
     outcome = SessionOutcome()
     fake_reader_id = b"ADVR"
     for probe in strategy.probes:
@@ -331,6 +343,12 @@ def run_chosen_challenge(
             outcome.first_failure = outcome.first_failure or FailureInfo(
                 4, "controller_key_confirm", type(exc).__name__
             )
+    for probe, response in strategy.responses:
+        plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
+        single = sc._aes_cbc(controller_cfg.master.bytes, bytes(16), plain, decrypt=False)
+        double = sc.double_encrypt(controller_cfg.master, plain, pad=False)
+        if response == single or response != double:
+            outcome.secrecy_hits.append("single-pass-oracle:" + probe.hex())
     return outcome
 
 
@@ -408,12 +426,83 @@ def _harvest_honest_frames(
         controller_cfg.principal_id, controller_cfg.master, rng.randrange(1 << 48)
     )
     channel = LinkChannel()
-    run_session(channel, prior_reader, prior_controller, workload)
+    drive_session(channel, prior_reader, prior_controller, workload)
     return [f.delivered for f in channel.transcript]
 
 
 RUNS_PER_STRATEGY = 100
-STRATEGY_NAMES = ("eavesdrop", "replay", "reflect", "bitflip", "chosen-challenge")
+
+
+def _on_link(make_strategy):
+    """Runner that puts the strategy ``make_strategy`` builds on the link of one session."""
+
+    def run(reader_cfg, controller_cfg, workload, rng):
+        channel = LinkChannel(strategy=make_strategy(reader_cfg, controller_cfg, workload, rng))
+        outcome = run_session(channel, reader_cfg, controller_cfg, workload)
+        return outcome, _link_attack_won(outcome, channel, workload)
+
+    return run
+
+
+def _probing(count: int):
+    """Runner for the adversary as reader: ``count`` chosen challenges, no link.
+    The attack wins if the controller reaches Established."""
+
+    def run(reader_cfg, controller_cfg, workload, rng):
+        strategy = ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(count)])
+        outcome = run_chosen_challenge(controller_cfg, strategy, rng)
+        return outcome, outcome.established_controller
+
+    return run
+
+
+def _random_replay(reader_cfg, controller_cfg, workload, rng) -> Replay:
+    prior = _harvest_honest_frames(reader_cfg, controller_cfg, workload, rng)
+    n_frames = 5 + len(workload)
+    return Replay(frame_index=rng.randrange(1, min(n_frames, len(prior)) + 1), prior_frames=prior)
+
+
+def _random_bitflip(reader_cfg, controller_cfg, workload, rng) -> BitFlip:
+    n_frames = 5 + len(workload)
+    return BitFlip(frame_index=rng.randrange(1, n_frames + 1), bit_index=rng.randrange(1 << 16))
+
+
+def _link_attack_won(outcome: SessionOutcome, channel: LinkChannel, workload: list) -> bool:
+    """Plaintext leaked, or a manipulated session still delivered everything."""
+    manipulated = any(f.sent != f.delivered for f in channel.transcript)
+    return bool(outcome.secrecy_hits) or (
+        manipulated and outcome.established
+        and outcome.packets_delivered == len(workload)
+        and outcome.first_failure is None
+    )
+
+
+class StrategyPlay(NamedTuple):
+    """How one strategy is played.  Both runners take ``(reader_cfg,
+    controller_cfg, workload, rng)`` and return ``(outcome, won)``, where
+    ``won`` says the attack succeeded."""
+
+    demo: Callable  # the canonical fixed-shape run
+    randomized: Callable  # one seeded run of the suite
+
+
+_eavesdrop = _on_link(lambda *_: Eavesdrop())
+_reflect = _on_link(lambda *_: Reflect())
+
+# Insertion order is the strategy index that seeds every run.
+STRATEGIES = {
+    "eavesdrop": StrategyPlay(_eavesdrop, _eavesdrop),
+    "replay": StrategyPlay(
+        _on_link(lambda r, c, w, rng: Replay(2, _harvest_honest_frames(r, c, w, rng))),
+        _on_link(_random_replay),
+    ),
+    "reflect": StrategyPlay(_reflect, _reflect),
+    "bitflip": StrategyPlay(
+        _on_link(lambda *_: BitFlip(frame_index=4, bit_index=123)), _on_link(_random_bitflip)
+    ),
+    "chosen-challenge": StrategyPlay(_probing(2), _probing(3)),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def canonical_demo(name: str, seed: int) -> SessionOutcome:
@@ -423,19 +512,8 @@ def canonical_demo(name: str, seed: int) -> SessionOutcome:
     rng = random.Random(seed * 7919 + STRATEGY_NAMES.index(name))
     reader_cfg, controller_cfg = _session_configs(rng)
     workload = _random_workload(rng, 1)
-    if name == "chosen-challenge":
-        strategy = ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(2)])
-        return run_chosen_challenge(controller_cfg, strategy, rng)
-    if name == "eavesdrop":
-        strategy = Eavesdrop()
-    elif name == "replay":
-        prior = _harvest_honest_frames(reader_cfg, controller_cfg, workload, rng)
-        strategy = Replay(frame_index=2, prior_frames=prior)
-    elif name == "reflect":
-        strategy = Reflect()
-    else:
-        strategy = BitFlip(frame_index=4, bit_index=123)
-    return run_session(LinkChannel(strategy=strategy), reader_cfg, controller_cfg, workload)
+    outcome, _ = STRATEGIES[name].demo(reader_cfg, controller_cfg, workload, rng)
+    return outcome
 
 
 def run_attack_suite(
@@ -459,56 +537,10 @@ def run_attack_suite(
             rng = random.Random(seed * 1_000_003 + strat_index * 10_007 + i)
             reader_cfg, controller_cfg = _session_configs(rng)
             workload = _random_workload(rng, rng.randrange(1, 4))
-            n_frames = 5 + len(workload)
             sreport.runs += 1
-
-            if name == "chosen-challenge":
-                strategy = ChosenChallenge(
-                    probes=[sc.new_nonce(rng).bytes for _ in range(3)]
-                )
-                outcome = run_chosen_challenge(controller_cfg, strategy, rng)
-                # the harness holds the key, so it can check the oracle
-                # shape of every response: double transform, never single
-                for probe, response in strategy.responses:
-                    plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
-                    single = sc._aes_cbc(
-                        controller_cfg.master.bytes, bytes(16), plain, decrypt=False
-                    )
-                    double = sc.double_encrypt(controller_cfg.master, plain, pad=False)
-                    if response == single or response != double:
-                        outcome.secrecy_hits.append("single-pass-oracle:" + probe.hex())
-                if outcome.established_controller:
-                    sreport.successes += 1
-            else:
-                if name == "eavesdrop":
-                    strategy = Eavesdrop()
-                elif name == "replay":
-                    prior = _harvest_honest_frames(reader_cfg, controller_cfg, workload, rng)
-                    strategy = Replay(
-                        frame_index=rng.randrange(1, min(n_frames, len(prior)) + 1),
-                        prior_frames=prior,
-                    )
-                elif name == "reflect":
-                    strategy = Reflect()
-                else:
-                    strategy = BitFlip(
-                        frame_index=rng.randrange(1, n_frames + 1),
-                        bit_index=rng.randrange(1 << 16),
-                    )
-                channel = LinkChannel(strategy=strategy)
-                outcome = run_session(channel, reader_cfg, controller_cfg, workload)
-                manipulated = any(f.sent != f.delivered for f in channel.transcript)
-                if name == "eavesdrop":
-                    success = bool(outcome.secrecy_hits)
-                else:
-                    success = bool(outcome.secrecy_hits) or (
-                        manipulated and outcome.established
-                        and outcome.packets_delivered == len(workload)
-                        and outcome.first_failure is None
-                    )
-                if success:
-                    sreport.successes += 1
-
+            outcome, won = STRATEGIES[name].randomized(reader_cfg, controller_cfg, workload, rng)
+            if won:
+                sreport.successes += 1
             if outcome.secrecy_hits:
                 sreport.leaks += 1
             if outcome.first_failure is not None:

@@ -49,6 +49,7 @@ class ParseError(NfcBmsError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -334,25 +335,10 @@ class _Parser:
         return node
 
 
-def parse_statement(text: str, symbols: SymbolTable | None = None):
+def parse_statement(text: str, symbols: SymbolTable):
     """Parse one statement in the ASCII grammar."""
-    symbols = symbols if symbols is not None else default_symbols()
     p = _Parser(text, symbols)
     return p.finish(p.parse_statement())
-
-
-def default_symbols() -> SymbolTable:
-    """Symbols of the bundled handshake protocol."""
-    table = SymbolTable()
-    table.declare("principal", "NR")
-    table.declare("principal", "MN")
-    table.declare("key", "KM")
-    table.declare("key", "KS", derived_from="KM")
-    table.declare("nonce", "chr")
-    table.declare("nonce", "cht")
-    table.declare("nonce", "X")
-    table.declare("nonce", "X'")
-    return table
 
 
 # --- rules ---
@@ -673,7 +659,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
             else:
                 raise ParseError(f"unknown directive {head!r}", 0)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.pos) from None
+            raise ParseError(f"line {lineno}: {exc.message}", exc.pos) from None
     return spec
 
 
@@ -687,7 +673,7 @@ def parse_goals(text: str, symbols: SymbolTable) -> dict:
         try:
             goals[label.strip()] = parse_statement(stmt_text.strip(), symbols)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.pos) from None
+            raise ParseError(f"line {lineno}: {exc.message}", exc.pos) from None
     return goals
 
 
@@ -703,7 +689,7 @@ def verify_protocol(spec: ProtocolSpec, goals: dict | None = None, max_depth: in
     )
 
 
-def render_result(result, goals: dict) -> str:
+def render_result(result) -> str:
     if isinstance(result, ProofTrace):
         return result.render()
     lines = ["not derivable (" + ("fixpoint" if result.at_fixpoint else "round budget") + "):"]

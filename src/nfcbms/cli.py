@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from importlib import resources
 from pathlib import Path
 
-from . import adversary, ban, diagnostics, handshake as hs, passport, secure_channel as sc, sndef, wakeup
+from . import adversary, ban, diagnostics, passport, secure_channel as sc, wakeup
 from .errors import NfcBmsError, StoreError
 
 EXIT_OK = 0
@@ -63,16 +62,26 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
         print(text_renderer(payload) if text_renderer else json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _session(args, reader_key, controller_key, packets: list):
+    """Drive one session over an honest link; returns the channel and the session."""
+    channel = adversary.LinkChannel()
+    session = adversary.drive_session(
+        channel,
+        adversary.EndpointConfig(READER_ID, reader_key, args.seed),
+        adversary.EndpointConfig(CONTROLLER_ID, controller_key, args.seed + 1),
+        packets,
+    )
+    return channel, session
+
+
 # --- handshake ---
 
 
 def cmd_handshake(args) -> int:
     reader_key = _load_key(args)
     controller_key = _load_key(args, "controller_key") if args.controller_key else reader_key
-    reader_cfg = adversary.EndpointConfig(READER_ID, reader_key, args.seed)
-    controller_cfg = adversary.EndpointConfig(CONTROLLER_ID, controller_key, args.seed + 1)
-    channel = adversary.LinkChannel()
-    outcome = adversary.run_session(channel, reader_cfg, controller_cfg, [])
+    channel, session = _session(args, reader_key, controller_key, [])
+    outcome = session.outcome
     payload = {
         "command": "handshake",
         "seed": args.seed,
@@ -119,30 +128,17 @@ def cmd_readout(args) -> int:
     else:
         packets = [diagnostics.collect_from_bpcs(reports, seq=0)]
 
-    reader = hs.HandshakeState.reader(READER_ID, CONTROLLER_ID, key, random.Random(args.seed))
-    controller = hs.HandshakeState.controller(
-        CONTROLLER_ID, READER_ID, key, random.Random(args.seed + 1)
-    )
-    try:
-        hs.run_honest_handshake(reader, controller)
-        delivered = []
-        for packet in packets:
-            record = sc.seal_record(
-                controller.channel, diagnostics.encode_diag(packet), b"", controller.rng
-            )
-            wire = sndef.encode_message(sndef.NdefMessage([sndef.wrap_secure(record)]))
-            received = sc.open_record(
-                reader.channel, sndef.unwrap_secure(sndef.decode_message(wire).records[0])
-            )
-            delivered.append(diagnostics.decode_diag(received))
-    except NfcBmsError as exc:
-        _emit(args, {"command": "readout", "error": type(exc).__name__, "detail": str(exc)})
+    _, session = _session(args, key, key, packets)
+    failure = session.outcome.first_failure
+    if failure is not None:
+        _emit(args, {"command": "readout", "error": failure.error, "detail": failure.detail})
         return EXIT_PROTOCOL
 
+    reader = session.reader
     session_id = hashlib.sha256(reader.ch_r.bytes + reader.ch_t.bytes).hexdigest()[:16]
     store = passport.PassportStore(args.store)
     appended = []
-    for packet in delivered:
+    for packet in session.received:
         entry = passport.PassportEntry(
             pack_id=packet.reports[0].pack_id,
             received_at=max(r.timestamp for r in packet.reports),
@@ -246,6 +242,8 @@ def cmd_wakeup_sim(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {args.runs}")
     strategies = adversary.STRATEGY_NAMES if args.strategy == "all" else (args.strategy,)
     report = adversary.run_attack_suite(args.seed, args.runs, strategies=strategies)
     payload = {"command": "attack", "report": report.to_json()}
@@ -292,7 +290,7 @@ def cmd_ban_verify(args) -> int:
 
     result = ban.verify_protocol(spec, goals, max_depth=args.max_depth)
     payload = {"command": "ban-verify", "result": ban.result_to_json(result)}
-    _emit(args, payload, lambda p: ban.render_result(result, goals))
+    _emit(args, payload, lambda p: ban.render_result(result))
     return EXIT_OK if isinstance(result, ban.ProofTrace) else EXIT_VERIFY
 
 

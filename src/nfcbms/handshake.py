@@ -115,7 +115,6 @@ class HandshakeState:
     ch_r: sc.Nonce | None = None
     ch_t: sc.Nonce | None = None
     channel: sc.ChannelState | None = None
-    transcript: list = field(default_factory=list)  # raw received frames
     _sent: dict = field(default_factory=dict)  # msg_no -> raw sent frame
     _received: dict = field(default_factory=dict)  # msg_no -> raw received frame
 
@@ -160,7 +159,6 @@ class HandshakeState:
             msg = parse_frame(raw, expect_no=msg_no, expect_sender=self.peer_id)
         except MalformedMessage as exc:
             raise self._fail(exc)
-        self.transcript.append(raw)
         self._received[msg_no] = raw
         return msg
 
@@ -215,16 +213,33 @@ class HandshakeState:
         self.phase = Phase.AUTHENTICATED
         return self._emit(3, answer)
 
-    # --- message 4: controller verifies the reader and confirms the key ---
+    # --- messages 4 and 5: key confirmation over the new record channel ---
+
+    def _seal_confirm(self, msg_no: int) -> HandshakeMessage:
+        # X (message 4) / X' (message 5): the two raw frames the peer sent us
+        view = self._received[msg_no - 3] + self._received[msg_no - 1]
+        record = sc.seal_record(self.channel, self.self_id + view, b"", self.rng)
+        return self._emit(msg_no, encode_secure_payload(record))
+
+    def _open_confirm(self, raw: bytes, msg_no: int) -> None:
+        """Open the peer's confirmation and compare it with the frames we sent."""
+        msg = self._receive(raw, msg_no)
+        try:
+            plaintext = sc.open_record(self.channel, decode_secure_payload(msg.body))
+        except CodecError as exc:
+            raise self._fail(MalformedMessage("undecodable confirmation")) from exc
+        except TagMismatch as exc:
+            raise self._fail(KeyConfirmFailure("confirmation sealed under wrong key or tampered")) from exc
+        if plaintext != self.peer_id + self._sent[msg_no - 3] + self._sent[msg_no - 1]:
+            raise self._fail(KeyConfirmFailure("transcript view diverges"))
 
     def controller_key_confirm(self, msg3: bytes) -> HandshakeMessage:
+        """Message 4: verify the reader's answer, then confirm the key."""
         self._require(Role.CONTROLLER, Phase.CHALLENGED)
         try:
-            msg = parse_frame(msg3, expect_no=3, expect_sender=self.peer_id)
+            msg = self._receive(msg3, 3)
         except MalformedMessage as exc:
-            raise self._fail(AuthFailure("malformed challenge answer")) from exc
-        self.transcript.append(msg3)
-        self._received[3] = msg3
+            raise AuthFailure("malformed challenge answer") from exc
         # encrypt-direction check of a decrypt-direction value: a value we
         # produced ourselves (or any reflected ciphertext) can never pass
         expected = _challenge_plain(self.peer_id, self.ch_t)
@@ -233,46 +248,20 @@ class HandshakeState:
         self.channel = sc.ChannelState.for_keys(
             sc.derive_session_keys(self.master, self.ch_r, self.ch_t)
         )
-        confirm = self._received[1] + self._received[3]  # X: raw frames from the reader
-        record = sc.seal_record(self.channel, self.self_id + confirm, b"", self.rng)
         self.phase = Phase.KEY_CONFIRM_SENT
-        return self._emit(4, encode_secure_payload(record))
-
-    # --- message 5: reader checks the confirmation and answers in kind ---
+        return self._seal_confirm(4)
 
     def reader_key_confirm(self, msg4: bytes) -> HandshakeMessage:
+        """Message 5: check the controller's confirmation and answer in kind."""
         self._require(Role.READER, Phase.AUTHENTICATED)
-        msg = self._receive(msg4, 4)
-        try:
-            record = decode_secure_payload(msg.body)
-            plaintext = sc.open_record(self.channel, record)
-        except CodecError as exc:
-            raise self._fail(MalformedMessage("undecodable confirmation")) from exc
-        except TagMismatch as exc:
-            raise self._fail(KeyConfirmFailure("confirmation sealed under wrong key or tampered")) from exc
-        expected = self.peer_id + self._sent[1] + self._sent[3]
-        if plaintext != expected:
-            raise self._fail(KeyConfirmFailure("transcript view diverges"))
-        confirm = self._received[2] + self._received[4]  # X': raw frames from the controller
-        record = sc.seal_record(self.channel, self.self_id + confirm, b"", self.rng)
+        self._open_confirm(msg4, 4)
         self.phase = Phase.ESTABLISHED
-        return self._emit(5, encode_secure_payload(record))
-
-    # --- message 5 receipt: controller finalizes ---
+        return self._seal_confirm(5)
 
     def controller_finalize(self, msg5: bytes) -> None:
+        """Receipt of message 5: the controller's side is established."""
         self._require(Role.CONTROLLER, Phase.KEY_CONFIRM_SENT)
-        msg = self._receive(msg5, 5)
-        try:
-            record = decode_secure_payload(msg.body)
-            plaintext = sc.open_record(self.channel, record)
-        except CodecError as exc:
-            raise self._fail(MalformedMessage("undecodable confirmation")) from exc
-        except TagMismatch as exc:
-            raise self._fail(KeyConfirmFailure("confirmation sealed under wrong key or tampered")) from exc
-        expected = self.peer_id + self._sent[2] + self._sent[4]
-        if plaintext != expected:
-            raise self._fail(KeyConfirmFailure("transcript view diverges"))
+        self._open_confirm(msg5, 5)
         self.phase = Phase.ESTABLISHED
 
 

@@ -155,19 +155,6 @@ class WakeupTrace:
         )
 
 
-ALLOWED_TRANSITIONS = {
-    Method.ED: {
-        ("idle", "wakeup"),  # RF field detected, event pin asserts
-        ("wakeup", "session"),  # controller awake, link open
-        ("session", "idle"),  # field gone, back to VLPS + standby
-    },
-    Method.EH: {
-        ("idle", "harvest_wakeup"),  # field powers the tag, tag boots
-        ("harvest_wakeup", "session"),  # controller awake, now powers the tag
-        ("session", "idle"),
-    },
-}
-
 _IDLE_STATES = frozenset({"idle"})
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from nfcbms import adversary as adv, diagnostics as dg
+import pytest
+
+from nfcbms import adversary as adv, diagnostics as dg, sndef
 
 
 def small_setup(seed: int = 1):
@@ -146,3 +149,56 @@ def test_canonical_demo_block_points():
     assert adv.canonical_demo("chosen-challenge", 1).first_failure.frame_no == 4
     assert adv.canonical_demo("bitflip", 1).first_failure.frame_no == 5
     assert adv.canonical_demo("eavesdrop", 1).first_failure is None
+
+
+def test_oversize_packet_is_recorded_not_raised():
+    # 200 reports of 12 cells and 2 temperatures encode to 10408 bytes,
+    # which seal and frame to 10456, over the 8192-byte NDEF cap
+    reports = [
+        dg.BpcReport(
+            pack_id=n.to_bytes(8, "big"), timestamp=1 << 33, soc_permille=500, soh_permille=900,
+            cell_voltages_mv=(3600,) * 12, temperatures_dk=(2930, 2940), status_flags=0,
+        )
+        for n in range(1, 201)
+    ]
+    reader_cfg, controller_cfg, workload = small_setup(11)
+    workload = workload + [dg.collect_from_bpcs(reports, seq=2)]
+    channel = adv.LinkChannel()
+    outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
+    assert outcome.established
+    assert outcome.packets_delivered == 2
+    failure = outcome.first_failure
+    assert (failure.frame_no, failure.operation, failure.error) == (8, "seal_record", "OversizeMessage")
+    assert failure.detail == "encoded message is 10456 bytes, cap is 8192"
+    assert outcome.frames_on_link == 7  # the oversize packet never reached the link
+    assert "detail" not in outcome.to_json()["first_failure"]
+
+
+@dataclass
+class AppendRecord:
+    """Append a second record to one frame in transit."""
+
+    frame_index: int
+
+    def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
+        if frame_no != self.frame_index:
+            return wire
+        records = sndef.decode_message(wire).records
+        extra = sndef.NdefRecord(sndef.RecordType.DIAG_PLAIN, b"extra")
+        return sndef.encode_message(sndef.NdefMessage(records + [extra]))
+
+
+# a failure is reported at the message the receiving step would send
+@pytest.mark.parametrize("frame_index, message, operation", [
+    (1, 2, "controller_respond"),
+    (2, 3, "reader_answer"),
+    (5, 5, "controller_finalize"),
+    (6, 6, "open_record"),
+])
+def test_link_frame_with_two_records_is_rejected(frame_index, message, operation):
+    reader_cfg, controller_cfg, workload = small_setup(12)
+    channel = adv.LinkChannel(strategy=AppendRecord(frame_index))
+    outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
+    failure = outcome.first_failure
+    assert (failure.frame_no, failure.operation, failure.error) == (message, operation, "BadFlags")
+    assert outcome.packets_delivered == 0

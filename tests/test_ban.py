@@ -20,7 +20,6 @@ from nfcbms.ban import (
     Said,
     Sees,
     SharedKey,
-    parse_statement,
 )
 
 NR = Principal("NR")
@@ -38,6 +37,13 @@ def bundled_spec() -> ban.ProtocolSpec:
 
     text = resources.files("nfcbms.data").joinpath("handshake.ban").read_text()
     return ban.parse_protocol(text)
+
+
+BUNDLED_SYMBOLS = bundled_spec().symbols
+
+
+def parse_statement(text: str, symbols: ban.SymbolTable = BUNDLED_SYMBOLS):
+    return ban.parse_statement(text, symbols)
 
 
 # --- parsing ---

@@ -288,6 +288,24 @@ def test_cli_ban_verify_parse_error_exit2(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_ban_verify_parse_error_names_the_position_once(tmp_path, capsys):
+    protocol = tmp_path / "bad.ban"
+    protocol.write_text("protocol handshake\n")
+    code = cli.main(["ban-verify", "--protocol", str(protocol)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: parse error: line 1: unknown directive 'protocol' (at position 0)\n"
+
+
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_cli_attack_needs_at_least_one_run(runs, capsys):
+    code = cli.main(["attack", "--runs", runs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --runs must be at least 1, got {runs}\n"
+
+
 def test_console_script_subprocess_roundtrip(tmp_path):
     # real process boundary: append in one process, read in another
     store = str(tmp_path / "s.ndjson")
