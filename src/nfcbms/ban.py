@@ -13,7 +13,8 @@ Grammar (see docs/formats.md for the full description):
     NR |= MN |~ (chr, ...)      NR believes MN once said the pair
     NR |= MN |= ...             nested belief
 
-Rules:
+Rules (``_RULE_TABLE`` is their single statement in code: which premises
+each rule reads, in which order, and what it concludes):
 
     message-meaning     P believes a key it shares with Q; P sees a term
                         encrypted under that key (or under a session key
@@ -35,7 +36,7 @@ the master key can compute the session key.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -159,13 +160,18 @@ def pair_members(term) -> list:
     return [term]
 
 
-def belief_depth(stmt) -> int:
-    if isinstance(stmt, Believes):
-        return 1 + belief_depth(stmt.fact)
-    return 0
+def _peel(stmt) -> tuple[tuple, object]:
+    """Split nested beliefs into the believers, outermost first, and the innermost fact."""
+    believers = []
+    while isinstance(stmt, Believes):
+        believers.append(stmt.who)
+        stmt = stmt.fact
+    return tuple(believers), stmt
 
 
 # --- symbol table and parser ---
+
+_TERMS = {"principal": Principal, "key": Key, "nonce": NonceTerm}  # symbol kind -> term
 
 
 @dataclass
@@ -174,21 +180,16 @@ class SymbolTable:
     key_derivations: dict = field(default_factory=dict)  # session key -> base key
 
     def declare(self, kind: str, name: str, derived_from: str | None = None) -> None:
-        if kind not in ("principal", "key", "nonce"):
+        if kind not in _TERMS:
             raise ValueError(f"unknown symbol kind {kind!r}")
         self.kinds[name] = kind
         if derived_from is not None:
             self.key_derivations[name] = derived_from
 
     def term_for(self, name: str, pos: int):
-        kind = self.kinds.get(name)
-        if kind == "principal":
-            return Principal(name)
-        if kind == "key":
-            return Key(name)
-        if kind == "nonce":
-            return NonceTerm(name)
-        raise ParseError(f"undeclared symbol {name!r}", pos)
+        if name not in self.kinds:
+            raise ParseError(f"undeclared symbol {name!r}", pos)
+        return _TERMS[self.kinds[name]](name)
 
 
 _PUNCT = ("|=", "|~", "<|", "<-", "->", "{", "}", "(", ")", ",")
@@ -243,6 +244,16 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, got {val or 'end of input'!r}", at)
 
+    def symbol(self, cls, expected: str):
+        """Read a declared name that must stand for a ``cls`` term (a Key or a Principal)."""
+        kind, name, at = self.next()
+        if kind != "ident":
+            raise ParseError(f"expected {expected}", at)
+        term = self.symbols.term_for(name, at)
+        if not isinstance(term, cls):
+            raise ParseError(f"{name!r} is not a declared {cls.__name__.lower()}", at)
+        return term
+
     def parse_statement(self):
         kind, val, at = self.peek()
         if kind == "ident" and val == "fresh":
@@ -283,20 +294,9 @@ class _Parser:
             _, op, _ = self.peek()
             if isinstance(term, Principal) and op == "<-":
                 self.next()
-                kkind, kname, kat = self.next()
-                if kkind != "ident":
-                    raise ParseError("expected key name", kat)
-                key = self.symbols.term_for(kname, kat)
-                if not isinstance(key, Key):
-                    raise ParseError(f"{kname!r} is not a declared key", kat)
+                key = self.symbol(Key, "key name")
                 self.expect("->")
-                pkind, pname, pat = self.next()
-                if pkind != "ident":
-                    raise ParseError("expected principal name", pat)
-                right = self.symbols.term_for(pname, pat)
-                if not isinstance(right, Principal):
-                    raise ParseError(f"{pname!r} is not a declared principal", pat)
-                return SharedKey(term, key, right)
+                return SharedKey(term, key, self.symbol(Principal, "principal name"))
             return term
         raise ParseError(f"unexpected token {val or 'end of input'!r}", at)
 
@@ -304,12 +304,7 @@ class _Parser:
         self.expect("{")
         body = self.parse_statement()
         self.expect("}")
-        kind, kname, at = self.next()
-        if kind != "ident":
-            raise ParseError("expected key name after '}'", at)
-        key = self.symbols.term_for(kname, at)
-        if not isinstance(key, Key):
-            raise ParseError(f"{kname!r} is not a declared key", at)
+        key = self.symbol(Key, "key name after '}'")
         if isinstance(body, Encrypted) and body.key == key:
             return DoubleEncrypted(body.body, key)
         return Encrypted(body, key)
@@ -351,91 +346,85 @@ class Rule(str, Enum):
     BELIEF = "belief"
 
 
-def _key_authorizes(believed: Key, used: Key, key_derivations: dict | None) -> bool:
-    if believed == used:
-        return True
-    return bool(key_derivations) and key_derivations.get(used.name) == believed.name
+# Each schema takes its premises, then the session-key derivations, and
+# yields what the rule concludes from them.
+
+
+def _message_meaning(seen, belief, key_derivations):
+    enc, share = seen.term, belief.fact
+    if belief.who != seen.who or seen.who not in (share.left, share.right):
+        return
+    # a session key derived from the believed key speaks with its authority
+    if enc.key == share.key or key_derivations.get(enc.key.name) == share.key.name:
+        peer = share.right if seen.who == share.left else share.left
+        yield Believes(seen.who, Said(peer, enc.body))
+
+
+def _freshness_promotion(fresh, said, _key_derivations):
+    term = said.fact.term
+    if said.who == fresh.who and isinstance(term, Pair) and fresh.fact.term in pair_members(term):
+        yield Believes(fresh.who, Fresh(term))
+
+
+def _nonce_verification(fresh, said, _key_derivations):
+    if said.who == fresh.who and said.fact.term == fresh.fact.term:
+        yield Believes(fresh.who, Believes(said.fact.who, said.fact.term))
+
+
+def _belief(stmt, _key_derivations):
+    believers, pair = _peel(stmt)
+    for member in pair_members(pair):
+        for who in reversed(believers):
+            member = Believes(who, member)
+        yield member
+
+
+def _believes(kind):
+    return lambda stmt: isinstance(stmt, Believes) and isinstance(stmt.fact, kind)
+
+
+def _sees_ciphertext(stmt) -> bool:
+    return isinstance(stmt, Sees) and isinstance(stmt.term, (Encrypted, DoubleEncrypted))
+
+
+def _pair_belief(stmt) -> bool:
+    believers, inner = _peel(stmt)
+    return bool(believers) and isinstance(inner, Pair)
+
+
+# One row per premise shape: a predicate per premise slot, then the schema
+# of each rule that reads premises of that shape.  Rows, premise tuples and
+# rules run in this order, which fixes the step ids a derivation prints.
+_RULE_TABLE = (
+    ((_sees_ciphertext, _believes(SharedKey)), {Rule.MESSAGE_MEANING: _message_meaning}),
+    ((_believes(Fresh), _believes(Said)), {Rule.FRESHNESS_PROMOTION: _freshness_promotion,
+                                           Rule.NONCE_VERIFICATION: _nonce_verification}),
+    ((_pair_belief,), {Rule.BELIEF: _belief}),
+)
+
+
+def _applications(statements, key_derivations, only=None):
+    """Yield ``(rule, premises, conclusion)`` for every rule application over ``statements``."""
+    statements = list(statements)
+    key_derivations = key_derivations or {}
+    for slots, rules in _RULE_TABLE:
+        rules = [(rule, schema) for rule, schema in rules.items() if only in (None, rule)]
+        if not rules:
+            continue
+        candidates = [[s for s in statements if fits(s)] for fits in slots]
+        for premises in itertools.product(*candidates):
+            for rule, schema in rules:
+                for conclusion in schema(*premises, key_derivations):
+                    yield rule, premises, conclusion
 
 
 def apply_rule(rule: Rule, premises, key_derivations: dict | None = None) -> list:
-    """All conclusions the rule's schema yields from these premises.
+    """All conclusions the rule's schema yields from these premises, in order, without repeats.
 
     Non-applicability is not an error: the result is just empty.
     """
-    premises = list(premises)
-    out = []
-    if rule == Rule.MESSAGE_MEANING:
-        for seen in premises:
-            if not isinstance(seen, Sees):
-                continue
-            enc = seen.term
-            if not isinstance(enc, (Encrypted, DoubleEncrypted)):
-                continue
-            for belief in premises:
-                if not isinstance(belief, Believes) or belief.who != seen.who:
-                    continue
-                share = belief.fact
-                if not isinstance(share, SharedKey):
-                    continue
-                if seen.who not in (share.left, share.right):
-                    continue
-                if not _key_authorizes(share.key, enc.key, key_derivations):
-                    continue
-                peer = share.right if seen.who == share.left else share.left
-                out.append(Believes(seen.who, Said(peer, enc.body)))
-    elif rule == Rule.FRESHNESS_PROMOTION:
-        for fresh in premises:
-            if not (isinstance(fresh, Believes) and isinstance(fresh.fact, Fresh)):
-                continue
-            for said in premises:
-                if not (
-                    isinstance(said, Believes)
-                    and said.who == fresh.who
-                    and isinstance(said.fact, Said)
-                ):
-                    continue
-                term = said.fact.term
-                if isinstance(term, Pair) and fresh.fact.term in pair_members(term):
-                    out.append(Believes(fresh.who, Fresh(term)))
-    elif rule == Rule.NONCE_VERIFICATION:
-        for fresh in premises:
-            if not (isinstance(fresh, Believes) and isinstance(fresh.fact, Fresh)):
-                continue
-            for said in premises:
-                if not (
-                    isinstance(said, Believes)
-                    and said.who == fresh.who
-                    and isinstance(said.fact, Said)
-                ):
-                    continue
-                if said.fact.term == fresh.fact.term:
-                    out.append(
-                        Believes(fresh.who, Believes(said.fact.who, said.fact.term))
-                    )
-    elif rule == Rule.BELIEF:
-        for stmt in premises:
-            prefix = []
-            inner = stmt
-            while isinstance(inner, Believes):
-                prefix.append(inner.who)
-                inner = inner.fact
-            if not prefix or not isinstance(inner, Pair):
-                continue
-            for member in pair_members(inner):
-                conclusion = member
-                for who in reversed(prefix):
-                    conclusion = Believes(who, conclusion)
-                out.append(conclusion)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    # drop duplicates but keep order
-    seen_set = set()
-    unique = []
-    for stmt in out:
-        if stmt not in seen_set:
-            seen_set.add(stmt)
-            unique.append(stmt)
-    return unique
+    applications = _applications(premises, key_derivations, Rule(rule))
+    return list(dict.fromkeys(conclusion for _, _, conclusion in applications))
 
 
 # --- forward-chaining derivation ---
@@ -460,20 +449,8 @@ class ProofTrace:
 
     def rules_for(self, goal) -> list[str]:
         """Rule names along this goal's derivation, topological order."""
-        by_index = {s.index: s for s in self.steps}
-        needed = set()
-        frontier = [self.goal_steps[goal]]
-        while frontier:
-            idx = frontier.pop()
-            if idx in needed:
-                continue
-            needed.add(idx)
-            frontier.extend(by_index[idx].premises)
-        return [
-            by_index[i].rule
-            for i in sorted(needed)
-            if by_index[i].rule not in ("assumption", "message")
-        ]
+        rules = (self.steps[i].rule for i in _ancestry(self.steps, [self.goal_steps[goal]]))
+        return [rule for rule in rules if rule not in ("assumption", "message")]
 
     def to_json(self) -> dict:
         return {
@@ -494,6 +471,21 @@ class ProofTrace:
         lines.append("goals:")
         lines.extend(f"  {g}  => step {idx}" for g, idx in self.goal_steps.items())
         return "\n".join(lines)
+
+
+def _ancestry(steps: list, roots) -> list[int]:
+    """Ascending indices of the ``roots`` steps and of every step they rest on.
+
+    A step's index is its position in ``steps``.
+    """
+    needed = set()
+    frontier = list(roots)
+    while frontier:
+        idx = frontier.pop()
+        if idx not in needed:
+            needed.add(idx)
+            frontier.extend(steps[idx].premises)
+    return sorted(needed)
 
 
 @dataclass
@@ -529,7 +521,7 @@ def derive(
     known: dict = {}
 
     def add(stmt, rule: str, premises: tuple) -> None:
-        if stmt in known or belief_depth(stmt) > BELIEF_DEPTH_CAP:
+        if stmt in known or len(_peel(stmt)[0]) > BELIEF_DEPTH_CAP:
             return
         step = ProofStep(len(steps), rule, premises, stmt)
         steps.append(step)
@@ -547,45 +539,10 @@ def derive(
         if rounds >= max_depth:
             break
         rounds += 1
-        fresh_beliefs = []
-        said_beliefs = []
-        share_beliefs = []
-        sees_facts = []
-        pair_beliefs = []
-        for stmt in known:
-            if isinstance(stmt, Sees):
-                sees_facts.append(stmt)
-            elif isinstance(stmt, Believes):
-                if isinstance(stmt.fact, Fresh):
-                    fresh_beliefs.append(stmt)
-                elif isinstance(stmt.fact, Said):
-                    said_beliefs.append(stmt)
-                elif isinstance(stmt.fact, SharedKey):
-                    share_beliefs.append(stmt)
-                inner = stmt
-                while isinstance(inner, Believes):
-                    inner = inner.fact
-                if isinstance(inner, Pair):
-                    pair_beliefs.append(stmt)
-
-        new: list[tuple[object, str, tuple]] = []
-        for seen in sees_facts:
-            for belief in share_beliefs:
-                for c in apply_rule(Rule.MESSAGE_MEANING, [seen, belief], key_derivations):
-                    new.append((c, Rule.MESSAGE_MEANING.value, (known[seen], known[belief])))
-        for fr in fresh_beliefs:
-            for sd in said_beliefs:
-                for c in apply_rule(Rule.FRESHNESS_PROMOTION, [fr, sd]):
-                    new.append((c, Rule.FRESHNESS_PROMOTION.value, (known[fr], known[sd])))
-                for c in apply_rule(Rule.NONCE_VERIFICATION, [fr, sd]):
-                    new.append((c, Rule.NONCE_VERIFICATION.value, (known[fr], known[sd])))
-        for pb in pair_beliefs:
-            for c in apply_rule(Rule.BELIEF, [pb]):
-                new.append((c, Rule.BELIEF.value, (known[pb],)))
-
+        new = list(_applications(known, key_derivations))
         before = len(known)
-        for stmt, rule, premises in new:
-            add(stmt, rule, premises)
+        for rule, premises, stmt in new:
+            add(stmt, rule.value, tuple(known[p] for p in premises))
         if len(known) == before:
             at_fixpoint = True
             break
@@ -595,24 +552,11 @@ def derive(
         return NotDerivable(unreached=missing, at_fixpoint=at_fixpoint, rounds=rounds)
 
     # prune to the goals' ancestry and renumber
-    needed = set()
-    frontier = [known[g] for g in goals]
-    while frontier:
-        idx = frontier.pop()
-        if idx in needed:
-            continue
-        needed.add(idx)
-        frontier.extend(steps[idx].premises)
-    renumber = {old: new for new, old in enumerate(sorted(needed))}
+    needed = _ancestry(steps, [known[g] for g in goals])
+    renumber = {old: new for new, old in enumerate(needed)}
     pruned = [
-        ProofStep(
-            renumber[s.index],
-            s.rule,
-            tuple(renumber[p] for p in s.premises),
-            s.statement,
-        )
-        for s in steps
-        if s.index in needed
+        ProofStep(renumber[s.index], s.rule, tuple(renumber[p] for p in s.premises), s.statement)
+        for s in (steps[i] for i in needed)
     ]
     goal_steps = {g: renumber[known[g]] for g in goals}
     return ProofTrace(steps=pruned, goal_steps=goal_steps)
@@ -629,51 +573,57 @@ class ProtocolSpec:
     goals: dict  # label -> statement
 
 
-def parse_protocol(text: str) -> ProtocolSpec:
-    """Parse a protocol file: declarations, assumptions, messages, goals."""
-    symbols = SymbolTable()
-    spec = ProtocolSpec(symbols=symbols, assumptions=[], messages=[], goals={})
+def _parse_lines(text: str, parse_line) -> None:
+    """Call ``parse_line`` on each non-blank line, comment stripped; parse errors name the line."""
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if head in ("principal", "key", "nonce"):
-                symbols.declare(head, rest)
-            elif head == "sessionkey":
-                name, _, base = rest.partition(" from ")
-                symbols.declare("key", name.strip(), derived_from=base.strip())
-            elif head == "assume":
-                spec.assumptions.append(parse_statement(rest, symbols))
-            elif head == "message":
-                label, _, stmt_text = rest.partition(":")
-                stmt = parse_statement(stmt_text.strip(), symbols)
-                if not isinstance(stmt, Sees):
-                    raise ParseError("message statements must be sees facts", 0)
-                spec.messages.append((label.strip(), stmt))
-            elif head == "goal":
-                label, _, stmt_text = rest.partition(":")
-                spec.goals[label.strip()] = parse_statement(stmt_text.strip(), symbols)
-            else:
-                raise ParseError(f"unknown directive {head!r}", 0)
+            parse_line(line)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.message}", exc.pos) from None
+
+
+def _labelled(text: str, symbols: SymbolTable) -> tuple[str, object]:
+    """Parse a ``label: statement`` line."""
+    label, _, stmt_text = text.partition(":")
+    return label.strip(), parse_statement(stmt_text.strip(), symbols)
+
+
+def parse_protocol(text: str) -> ProtocolSpec:
+    """Parse a protocol file: declarations, assumptions, messages, goals."""
+    symbols = SymbolTable()
+    spec = ProtocolSpec(symbols=symbols, assumptions=[], messages=[], goals={})
+
+    def directive(line: str) -> None:
+        head, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if head in _TERMS:
+            symbols.declare(head, rest)
+        elif head == "sessionkey":
+            name, _, base = rest.partition(" from ")
+            symbols.declare("key", name.strip(), derived_from=base.strip())
+        elif head == "assume":
+            spec.assumptions.append(parse_statement(rest, symbols))
+        elif head == "message":
+            label, stmt = _labelled(rest, symbols)
+            if not isinstance(stmt, Sees):
+                raise ParseError("message statements must be sees facts", 0)
+            spec.messages.append((label, stmt))
+        elif head == "goal":
+            label, stmt = _labelled(rest, symbols)
+            spec.goals[label] = stmt
+        else:
+            raise ParseError(f"unknown directive {head!r}", 0)
+
+    _parse_lines(text, directive)
     return spec
 
 
 def parse_goals(text: str, symbols: SymbolTable) -> dict:
     goals = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        label, _, stmt_text = line.partition(":")
-        try:
-            goals[label.strip()] = parse_statement(stmt_text.strip(), symbols)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.message}", exc.pos) from None
+    _parse_lines(text, lambda line: goals.update([_labelled(line, symbols)]))
     return goals
 
 
@@ -701,7 +651,3 @@ def result_to_json(result) -> dict:
     payload = result.to_json()
     payload["derived"] = isinstance(result, ProofTrace)
     return payload
-
-
-def dump_result(result) -> str:
-    return json.dumps(result_to_json(result), indent=2, sort_keys=True)

@@ -42,7 +42,10 @@ CONTROLLER_ID = b"MNC1"
 def _load_key(args, attr: str = "key") -> sc.MasterKey:
     key_hex = getattr(args, attr, None)
     if attr == "key" and getattr(args, "key_file", None):
-        key_hex = Path(args.key_file).read_text(encoding="utf-8").strip()
+        try:
+            key_hex = Path(args.key_file).read_text(encoding="utf-8").strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read key file: {exc}") from exc
     if key_hex is None:
         key_hex = DEFAULT_KEY_HEX
     try:
@@ -271,6 +274,8 @@ def _bundled(name: str) -> str:
 
 
 def cmd_ban_verify(args) -> int:
+    if args.max_depth < 1:
+        raise UsageError(f"--max-depth must be at least 1, got {args.max_depth}")
     try:
         protocol_text = (
             Path(args.protocol).read_text(encoding="utf-8") if args.protocol
@@ -283,7 +288,7 @@ def cmd_ban_verify(args) -> int:
             goals = spec.goals
         else:
             goals = ban.parse_goals(_bundled("handshake_goals.ban"), spec.symbols)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read input file: {exc}") from exc
     except ban.ParseError as exc:
         raise UsageError(f"parse error: {exc}") from exc

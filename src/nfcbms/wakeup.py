@@ -20,12 +20,15 @@ flagged as such in the config schema.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 from .errors import OverlappingSessions, RangeViolation
 
 US_PER_DAY = 86_400_000_000
+MAX_TIME_US = 2**63 - 1  # times are signed 64-bit microsecond counts
 
 
 class Method(str, Enum):
@@ -53,7 +56,10 @@ class PowerModel:
             "ed_wakeup_latency_ms",
             "eh_wakeup_latency_ms",
         ):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not isinstance(value, Real) or not math.isfinite(value):
+                raise RangeViolation(f"{name} must be a finite number, got {value!r}")
+            if value <= 0:
                 raise RangeViolation(f"{name} must be strictly positive")
         if self.eh_wakeup_latency_ms < self.ed_wakeup_latency_ms:
             raise RangeViolation("harvesting wake-up cannot be faster than the event pin")
@@ -155,22 +161,30 @@ class WakeupTrace:
         )
 
 
-_IDLE_STATES = frozenset({"idle"})
+def _whole_us(value: float, unit_us: int, what: str) -> int:
+    """``value`` units of ``unit_us`` microseconds, rounded to whole microseconds.
+
+    Raises RangeViolation unless the result is finite and fits ``MAX_TIME_US``.
+    """
+    us = value * unit_us
+    if not abs(us) <= MAX_TIME_US:  # NaN fails the comparison too
+        raise RangeViolation(f"{what} is not a finite time within range: {value!r}")
+    return round(us)
 
 
 def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> WakeupTrace:
     """Run one storage period and integrate the power profile exactly."""
     model.validate()
-    if scenario.duration_days <= 0:
-        raise RangeViolation("duration must be positive")
-    duration_us = round(scenario.duration_days * US_PER_DAY)
+    duration_us = _whole_us(scenario.duration_days, US_PER_DAY, "duration_days")
+    if duration_us <= 0:
+        raise RangeViolation("duration must be at least one microsecond")
     latency_us = model.wakeup_latency_us(method)
     wake_state = "wakeup" if method == Method.ED else "harvest_wakeup"
 
     windows = []
     for r in scenario.readouts:
-        start = round(r.start_s * 1_000_000)
-        length = round(r.length_s * 1_000_000)
+        start = _whole_us(r.start_s, 1_000_000, "readout start_s")
+        length = _whole_us(r.length_s, 1_000_000, "readout length_s")
         if length <= 0 or start < 0:
             raise RangeViolation("readout windows need positive length and start >= 0")
         end = start + latency_us + length
@@ -194,19 +208,10 @@ def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> Wa
         events.append(TraceEvent(start + latency_us, "session", session_nw))
         events.append(TraceEvent(end, "idle", idle_nw))
 
-    idle_nwus = 0
-    active_nwus = 0
-    for ev, nxt in zip(events, events[1:]):
-        span = (nxt.time_us - ev.time_us) * ev.power_nw
-        if ev.state in _IDLE_STATES:
-            idle_nwus += span
-        else:
-            active_nwus += span
-    tail = (duration_us - events[-1].time_us) * events[-1].power_nw
-    if events[-1].state in _IDLE_STATES:
-        idle_nwus += tail
-    else:
-        active_nwus += tail
+    # each window draws wake-up power for the latency, then session power;
+    # the rest of the period is idle
+    active_nwus = sum(latency_us * wake_nw + length * session_nw for _, _, length in windows)
+    idle_nwus = idle_nw * (duration_us - sum(end - start for start, end, _ in windows))
 
     trace.idle_energy_uj = idle_nwus / 1e9
     trace.active_energy_uj = active_nwus / 1e9

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -40,11 +41,22 @@ def _report(n: int, cells: int, temps: int) -> dict:
     }
 
 
+HANDSHAKE_BAN = resources.files("nfcbms.data").joinpath("handshake.ban").read_text(encoding="utf-8")
+CHALLENGE_FRESHNESS = ("assume NR |= fresh(chr)", "assume MN |= fresh(cht)")
+
 INPUTS = {
-    "one.json": [_report(1, 3, 1)],
-    "three.json": [_report(n, 4, 2) for n in (1, 2, 3)],
+    "one.json": json.dumps([_report(1, 3, 1)]),
+    "three.json": json.dumps([_report(n, 4, 2) for n in (1, 2, 3)]),
     # 200 packs of 12 cells and 2 temperatures seal to 10456 bytes, over the 8192-byte cap
-    "oversize.json": [_report(n, 12, 2) for n in range(1, 201)],
+    "oversize.json": json.dumps([_report(n, 12, 2) for n in range(1, 201)]),
+    # without the challenge-freshness assumptions G1.1/G1.2 are not derivable (exit 4)
+    "stale.ban": "".join(
+        line for line in HANDSHAKE_BAN.splitlines(keepends=True)
+        if not line.startswith(CHALLENGE_FRESHNESS)
+    ),
+    "goals.ban": "# one bundled goal and one intermediate belief\n"
+                 "G1.1: NR |= MN |= NR <-KM-> MN\n\n"
+                 "S2: NR |= MN |~ (chr, NR <-KM-> MN)\n",
 }
 
 
@@ -75,13 +87,17 @@ CASES = {
     "attack-seed7-json": [_attack(7, "json")],
     "attack-seed7-text": [_attack(7, "text")],
     "ban-verify": [["ban-verify"]],
+    "ban-verify-text": [["ban-verify", "--format", "text"]],
+    "ban-verify-not-derivable-json": [["ban-verify", "--protocol", "stale.ban"]],
+    "ban-verify-not-derivable-text": [["ban-verify", "--protocol", "stale.ban", "--format", "text"]],
+    "ban-verify-goals-file": [["ban-verify", "--goals", "goals.ban"]],
 }
 
 
 def run_case(commands: list, workdir: Path) -> dict:
     """Run ``commands`` in ``workdir`` (the current directory) and record what they produce."""
-    for name, reports in INPUTS.items():
-        (workdir / name).write_text(json.dumps(reports), encoding="utf-8")
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     results = []
     for argv in commands:
         out = io.StringIO()

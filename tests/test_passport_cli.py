@@ -140,6 +140,19 @@ def test_cli_key_file_source(tmp_path, capsys):
     assert out == direct
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8"], ids=["missing", "not-utf8"])
+def test_cli_unreadable_key_file_is_usage_error(content, tmp_path, capsys):
+    key_file = tmp_path / "master.key"
+    if content is not None:
+        key_file.write_bytes(content)
+    code = cli.main(["--key-file", str(key_file), "handshake"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read key file: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_bad_key_is_usage_error(capsys):
     code, _ = run_cli(["--key", "zz", "handshake"], capsys)
     assert code == 2
@@ -238,6 +251,33 @@ def test_cli_wakeup_sim_trace_out(tmp_path, capsys):
     assert json.loads(lines[0])["state"] == "idle"
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["--days", "nan"], {}),
+        (["--days", "inf"], {}),
+        (["--days", "1e300"], {}),
+        (["--days", "1e-12"], {}),
+        (["--scenario", "s.json"],
+         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": NaN, "length_s": 60}]}'}),
+        (["--scenario", "s.json"], {"s.json": '{"duration_days": "inf"}'}),
+        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": "x"}'}),
+    ],
+    ids=["days-nan", "days-inf", "days-1e300", "days-1e-12",
+         "start-nan", "duration-inf", "model-not-a-number"],
+)
+def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = cli.main(["wakeup-sim"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad scenario: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_attack_replay_blocked_at_message3(capsys):
     code, out = run_cli(
         ["--seed", "5", "--format", "text", "attack", "--strategy", "replay", "--runs", "3"],
@@ -295,6 +335,24 @@ def test_cli_ban_verify_parse_error_names_the_position_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: parse error: line 1: unknown directive 'protocol' (at position 0)\n"
+
+
+def test_cli_ban_verify_undecodable_protocol_is_usage_error(tmp_path, capsys):
+    protocol = tmp_path / "bad.ban"
+    protocol.write_bytes(b"principal \xff\n")
+    code = cli.main(["ban-verify", "--protocol", str(protocol)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot read input file: ")
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_cli_ban_verify_needs_a_depth_of_at_least_one(depth, capsys):
+    code = cli.main(["ban-verify", "--max-depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --max-depth must be at least 1, got {depth}\n"
 
 
 @pytest.mark.parametrize("runs", ["0", "-5"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nfcbms import wakeup as wk
 from nfcbms.errors import OverlappingSessions, RangeViolation
@@ -122,6 +123,39 @@ def test_energy_totals_match_event_integral_exactly():
             e.power_nw * (times[i + 1] - times[i]) for i, e in enumerate(trace.events)
         )
         assert trace.total_energy_uj == pytest.approx(integral_nwus / 1e9, rel=1e-9)
+
+
+def event_integral_nwus(trace: wk.WakeupTrace) -> tuple[int, int]:
+    """Idle and active energy in nW*us, integrated event by event over the trace."""
+    until = [e.time_us for e in trace.events[1:]] + [trace.duration_us]
+    idle = active = 0
+    for event, end in zip(trace.events, until):
+        span = (end - event.time_us) * event.power_nw
+        if event.state == "idle":
+            idle += span
+        else:
+            active += span
+    return idle, active
+
+
+# windows as (idle gap before it, session length) in seconds
+windows_s = st.lists(
+    st.tuples(st.floats(0, 50_000), st.floats(0.001, 3_600)), max_size=12
+)
+
+
+@given(windows_s, st.floats(1, 50_000), st.sampled_from(list(wk.Method)))
+def test_closed_form_energies_equal_the_event_integral(windows, tail_s, method):
+    readouts, clock = [], 0.0
+    for gap, length in windows:
+        readouts.append(wk.Readout(clock + gap, length))
+        clock += gap + length + 0.1  # room for the wake-up latency (50 ms at most)
+    scenario = wk.StorageScenario((clock + tail_s) / 86_400, tuple(readouts))
+    trace = wk.simulate(default_model(), scenario, method)
+    idle, active = event_integral_nwus(trace)
+    assert trace.idle_energy_uj == idle / 1e9
+    assert trace.active_energy_uj == active / 1e9
+    assert trace.avg_power_uw == (idle + active) / trace.duration_us / 1000
 
 
 def test_adding_a_session_never_decreases_energy():
