@@ -114,6 +114,8 @@ def cmd_handshake(args) -> int:
 def _load_reports(path: str) -> list:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("expected a non-empty JSON list of reports")
         return [diagnostics.report_from_json(obj) for obj in raw]
     except OSError as exc:
         raise UsageError(f"cannot read reports file: {exc}") from exc

@@ -4,7 +4,9 @@ One newline-delimited JSON entry per delivered diagnostic packet, so a
 pack's history can be tracked across its lifetime.  Appends flush and
 fsync before returning, and every open of the file takes an advisory
 lock, so concurrent CLI invocations do not interleave half-written
-lines.  A database backend would slot in behind the same two calls.
+lines.  A last line without its newline is an append that a crash cut
+short: reads skip it and the next append truncates it.  A database
+backend would slot in behind the same two calls.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ class PassportStore:
         self.path = Path(path)
 
     def append(self, entry: PassportEntry) -> None:
-        line = json.dumps(entry.to_json(), sort_keys=True)
+        line = json.dumps(entry.to_json(), sort_keys=True) + "\n"
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with open(self.path, "a+b") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)
-                fh.write(line + "\n")
+                _drop_uncommitted_tail(fh)
+                fh.write(line.encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
@@ -71,11 +74,15 @@ class PassportStore:
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                lines = fh.read().splitlines()
+                text = fh.read()
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{self.path}: corrupt store: {exc}") from exc
+        if not text.endswith("\n"):
+            text = text[:text.rfind("\n") + 1]  # skip the uncommitted tail
         out = []
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -96,6 +103,19 @@ class PassportStore:
             if e.pack_id == pack_id or any(r.pack_id == pack_id for r in e.diag.reports)
         ]
         return sorted(matching, key=lambda e: e.received_at)
+
+
+def _drop_uncommitted_tail(fh) -> None:
+    """Truncate a last line without its newline: an append that never
+    finished, so never acknowledged.  ``fh`` is open for reading and
+    appending, with the exclusive lock held."""
+    size = fh.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    fh.seek(size - 1)
+    if fh.read(1) != b"\n":
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 def default_store_path() -> Path:

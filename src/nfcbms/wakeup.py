@@ -29,6 +29,7 @@ from .errors import OverlappingSessions, RangeViolation
 
 US_PER_DAY = 86_400_000_000
 MAX_TIME_US = 2**63 - 1  # times are signed 64-bit microsecond counts
+MAX_NW = 2**63 - 1  # and power levels signed 64-bit nanowatt counts
 
 
 class Method(str, Enum):
@@ -63,11 +64,21 @@ class PowerModel:
                 raise RangeViolation(f"{name} must be strictly positive")
         if self.eh_wakeup_latency_ms < self.ed_wakeup_latency_ms:
             raise RangeViolation("harvesting wake-up cannot be faster than the event pin")
+        # every derived level must fit 64 bits; each raises RangeViolation if not
+        for method in Method:
+            self.idle_nw(method)
+            self.wakeup_nw(method)
+            self.wakeup_latency_us(method)
+        self.session_nw()
+        self.always_on_nw()
 
-    # all internal power levels are integer nanowatts
+    # all internal power levels are integer nanowatts, at most MAX_NW
 
     def _nw(self, current_ua: float) -> int:
-        return round(self.supply_voltage_v * current_ua * 1000)
+        nw = self.supply_voltage_v * current_ua * 1000
+        if not nw <= MAX_NW:
+            raise RangeViolation(f"the power model gives {nw:g} nW, beyond a signed 64-bit integer")
+        return round(nw)
 
     def idle_nw(self, method: Method) -> int:
         if method == Method.ED:
@@ -90,7 +101,7 @@ class PowerModel:
 
     def wakeup_latency_us(self, method: Method) -> int:
         ms = self.ed_wakeup_latency_ms if method == Method.ED else self.eh_wakeup_latency_ms
-        return round(ms * 1000)
+        return _whole_us(ms, 1000, f"{method.value}_wakeup_latency_ms")
 
 
 def idle_power(model: PowerModel, method: Method) -> float:

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfcbms import adversary as adv, diagnostics as dg, sndef
 
@@ -202,3 +203,132 @@ def test_link_frame_with_two_records_is_rejected(frame_index, message, operation
     failure = outcome.first_failure
     assert (failure.frame_no, failure.operation, failure.error) == (message, operation, "BadFlags")
     assert outcome.packets_delivered == 0
+
+
+# --- the secrecy scan against its window-by-window reference ---
+
+
+def reference_scan(transcript_blob: bytes, plaintexts: list) -> list:
+    """The quadratic scan, kept verbatim: the linear one must match it exactly."""
+    hits = []
+    for plain in plaintexts:
+        for i in range(len(plain) - adv.SECRECY_WINDOW + 1):
+            window = plain[i:i + adv.SECRECY_WINDOW]
+            if window in transcript_blob:
+                hits.append(window.hex())
+                break  # one hit per plaintext is enough evidence
+    return hits
+
+
+# the longest plaintext that is still checked window by window only
+LONGEST_DIRECT = adv.SCAN_DIRECT_MAX_WINDOWS + adv.SECRECY_WINDOW - 1
+
+
+def blob_of(pieces: list) -> bytes:
+    """The transcript blob of frames whose sent and delivered copies are
+    ``pieces[0], pieces[1]``, then ``pieces[2], pieces[3]`` and so on."""
+    channel = adv.LinkChannel()
+    for n in range(0, len(pieces), 2):
+        channel.transcript.append(
+            adv.FrameLog(n // 2 + 1, "controller->reader", pieces[n], pieces[n + 1])
+        )
+    return channel.transcript_blob()
+
+
+def plant(pieces: list, j: int, window: bytes, cut: int) -> None:
+    """Split ``window`` over the boundary between pieces ``j`` and ``j + 1``."""
+    pieces[j] += window[:cut]
+    pieces[j + 1] = window[cut:] + pieces[j + 1]
+
+
+@st.composite
+def scan_inputs(draw):
+    """Frames and plaintexts over a 1-4 symbol alphabet, so windows recur
+    often, and maybe one plaintext's first or last window planted across a
+    sent/delivered boundary (even ``j``) or a frame boundary (odd ``j``)."""
+    symbols = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    to_symbols = bytes(symbols[b % len(symbols)] for b in range(256))
+
+    def text(lengths):
+        return lengths.flatmap(
+            lambda n: st.binary(min_size=n, max_size=n).map(lambda b: b.translate(to_symbols))
+        )
+
+    lengths = st.one_of(
+        st.integers(0, adv.SECRECY_WINDOW),  # no window, or exactly one
+        st.integers(LONGEST_DIRECT - 1, LONGEST_DIRECT + 2),  # both sides of the threshold
+        st.integers(0, 300),
+    )
+    plaintexts = draw(st.lists(text(lengths), max_size=4))
+    frames = draw(st.integers(1, 6))
+    pieces = draw(st.lists(text(st.integers(0, 40)), min_size=2 * frames, max_size=2 * frames))
+    leaky = [p for p in plaintexts if len(p) >= adv.SECRECY_WINDOW]
+    where = draw(st.sampled_from(["none", "first", "last"]))
+    if leaky and where != "none":
+        plain = draw(st.sampled_from(leaky))
+        window = plain[:adv.SECRECY_WINDOW] if where == "first" else plain[-adv.SECRECY_WINDOW:]
+        plant(pieces, draw(st.integers(0, len(pieces) - 2)), window,
+              draw(st.integers(0, adv.SECRECY_WINDOW)))
+    return blob_of(pieces), plaintexts
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs())
+def test_scan_secrecy_equals_the_window_by_window_reference(inputs):
+    blob, plaintexts = inputs
+    assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts)
+
+
+@pytest.mark.parametrize("length", [adv.SECRECY_WINDOW, LONGEST_DIRECT, LONGEST_DIRECT + 1, 8000])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("boundary", [0, 1], ids=["sent|delivered", "frame|frame"])
+def test_scan_names_a_window_planted_across_a_boundary(length, where, boundary):
+    rng = random.Random(length)
+    plain = rng.randbytes(length)
+    window = plain[:adv.SECRECY_WINDOW] if where == "first" else plain[-adv.SECRECY_WINDOW:]
+    pieces = [rng.randbytes(40) for _ in range(4)]
+    plant(pieces, boundary, window, 3)
+    blob = blob_of(pieces)
+    plaintexts = [plain[:adv.SECRECY_WINDOW - 1], plain, rng.randbytes(length)]
+    assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) == [window.hex()]
+
+
+@dataclass
+class LeakOnto:
+    """Append ``leak`` to one frame in transit."""
+
+    frame_index: int
+    leak: bytes
+
+    def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
+        return wire + self.leak if frame_no == self.frame_index else wire
+
+
+def bulk_workload(rng: random.Random) -> list:
+    """Twelve packets of 1 to 180 eight-cell reports: 52 B to 7928 B encoded."""
+    return [
+        dg.collect_from_bpcs([
+            dg.BpcReport(
+                pack_id=rng.randbytes(8), timestamp=rng.randrange(1 << 33, 1 << 40),
+                soc_permille=rng.randrange(1001), soh_permille=rng.randrange(1001),
+                cell_voltages_mv=tuple(rng.randrange(5001) for _ in range(8)),
+                temperatures_dk=(rng.randrange(2500, 3500), rng.randrange(2500, 3500)),
+                status_flags=int(dg.StatusFlags.STORED),
+            )
+            for _ in range(count)
+        ], seq=seq)
+        for seq, count in enumerate((1, 2, 3, 5, 8, 12, 20, 30, 50, 80, 120, 180))
+    ]
+
+
+def test_planted_leak_in_a_bulk_session_is_found():
+    reader_cfg, controller_cfg, _ = small_setup(13)
+    workload = bulk_workload(random.Random(13))
+    plaintexts = [dg.encode_diag(p) for p in workload]
+    leak = plaintexts[-1][4000:4016]
+    channel = adv.LinkChannel(strategy=LeakOnto(5 + len(workload), leak))  # the last record
+    outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
+    assert outcome.established
+    assert outcome.packets_delivered == len(workload) - 1
+    expected = [leak[:adv.SECRECY_WINDOW].hex()]
+    assert outcome.secrecy_hits == reference_scan(channel.transcript_blob(), plaintexts) == expected

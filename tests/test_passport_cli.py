@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nfcbms import cli, diagnostics as dg, passport
 from nfcbms.errors import StoreError
@@ -78,6 +79,25 @@ def test_store_corruption_is_structured_error(tmp_path):
         fh.write("{not json\n")
     with pytest.raises(StoreError):
         store.entries()
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_store_survives_an_append_cut_short(tmp_path, data):
+    # a crash leaves any proper prefix of the last line, without its newline
+    path = tmp_path / "store.ndjson"
+    path.unlink(missing_ok=True)
+    store = passport.PassportStore(path)
+    for n in (1, 2):
+        store.append(make_entry(n, 100 * n))
+    committed = path.read_bytes()
+    torn = json.dumps(make_entry(3, 300).to_json(), sort_keys=True).encode()
+    path.write_bytes(committed + torn[:data.draw(st.integers(1, len(torn)), label="cut")])
+    assert [e.session_id for e in store.entries()] == ["s1", "s2"]
+    store.append(make_entry(4, 400))
+    assert path.read_bytes().startswith(committed)
+    assert [e.session_id for e in store.entries()] == ["s1", "s2", "s4"]
 
 
 def test_history_matches_packs_inside_aggregates(tmp_path):
@@ -227,6 +247,56 @@ def test_cli_history_corrupt_store_exit3(tmp_path, capsys):
     assert code == 3
 
 
+TORN = '{"diag": {"origin": 1, "reports": [{"cell_vol'  # an append cut short
+
+
+@pytest.mark.parametrize("committed", [0, 1])
+def test_cli_uncommitted_tail_is_skipped_then_truncated(committed, tmp_path, capsys):
+    store = tmp_path / "s.ndjson"
+    readout = ["--key", KEY_HEX, "readout", "--mode", "idle",
+               "--reports", write_reports(tmp_path, 1), "--store", str(store)]
+    history = ["history", "01" * 8, "--store", str(store)]
+    for _ in range(committed):
+        run_cli(readout, capsys)
+    with open(store, "a") as fh:
+        fh.write(TORN)
+    code, out = run_cli(history, capsys)
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == committed
+    code, _ = run_cli(readout, capsys)
+    assert code == 0
+    lines = store.read_text().split("\n")
+    assert lines[-1] == ""  # the file ends in a newline
+    assert len(lines) == committed + 2
+    assert all(json.loads(line)["pack_id"] == "01" * 8 for line in lines[:-1])
+    code, out = run_cli(history, capsys)
+    assert code == 0
+    assert len(json.loads(out)["entries"]) == committed + 1
+
+
+@pytest.mark.parametrize("content", ["[]", "{}", '"x"'])
+def test_cli_readout_reports_file_must_hold_a_list_of_reports(content, tmp_path, capsys):
+    reports = tmp_path / "reports.json"
+    reports.write_text(content)
+    code = cli.main(["--key", KEY_HEX, "readout", "--mode", "active",
+                     "--reports", str(reports), "--store", str(tmp_path / "s.ndjson")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: bad reports file: expected a non-empty JSON list of reports\n"
+    assert not (tmp_path / "s.ndjson").exists()
+
+
+def test_cli_history_undecodable_store_exit3(tmp_path, capsys):
+    store = tmp_path / "s.ndjson"
+    store.write_bytes(b"\xff\xfe\n")
+    code = cli.main(["history", "01" * 8, "--store", str(store)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "corrupt store" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_store_env_default(tmp_path, capsys, monkeypatch):
     store = tmp_path / "env.ndjson"
     monkeypatch.setenv(passport.ENV_STORE_PATH, str(store))
@@ -262,9 +332,14 @@ def test_cli_wakeup_sim_trace_out(tmp_path, capsys):
          {"s.json": '{"duration_days": 1, "readouts": [{"start_s": NaN, "length_s": 60}]}'}),
         (["--scenario", "s.json"], {"s.json": '{"duration_days": "inf"}'}),
         (["--model", "m.json"], {"m.json": '{"supply_voltage_v": "x"}'}),
+        (["--model", "m.json"], {"m.json": '{"bpc_active_current_ma": 1e306}'}),
+        (["--model", "m.json"], {"m.json": '{"ntag_standby_current_ua": 1e16}'}),
+        (["--model", "m.json"],
+         {"m.json": '{"ed_wakeup_latency_ms": 1e306, "eh_wakeup_latency_ms": 1e306}'}),
     ],
     ids=["days-nan", "days-inf", "days-1e300", "days-1e-12",
-         "start-nan", "duration-inf", "model-not-a-number"],
+         "start-nan", "duration-inf", "model-not-a-number",
+         "model-huge-current", "model-power-past-64-bits", "model-huge-latency"],
 )
 def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
