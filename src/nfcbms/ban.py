@@ -193,6 +193,10 @@ class SymbolTable:
 
 
 _PUNCT = ("|=", "|~", "<|", "<-", "->", "{", "}", "(", ")", ",")
+# a statement nests at most one level per token; this bound keeps the
+# recursive parser and derivation's hashing of nested statements well
+# inside the interpreter's recursion limit
+MAX_STATEMENT_TOKENS = 128
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -228,6 +232,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     def __init__(self, text: str, symbols: SymbolTable):
         self.tokens = _tokenize(text)
+        if len(self.tokens) > MAX_STATEMENT_TOKENS + 1:  # the last token marks the end
+            raise ParseError(
+                f"statement longer than {MAX_STATEMENT_TOKENS} tokens",
+                self.tokens[MAX_STATEMENT_TOKENS][2],
+            )
         self.symbols = symbols
         self.pos = 0
 

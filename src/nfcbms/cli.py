@@ -42,10 +42,7 @@ CONTROLLER_ID = b"MNC1"
 def _load_key(args, attr: str = "key") -> sc.MasterKey:
     key_hex = getattr(args, attr, None)
     if attr == "key" and getattr(args, "key_file", None):
-        try:
-            key_hex = Path(args.key_file).read_text(encoding="utf-8").strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read key file: {exc}") from exc
+        key_hex = _read_input(args.key_file, "key file", str.strip)
     if key_hex is None:
         key_hex = DEFAULT_KEY_HEX
     try:
@@ -56,6 +53,23 @@ def _load_key(args, attr: str = "key") -> sc.MasterKey:
 
 class UsageError(Exception):
     pass
+
+
+def _read_input(path: str, what: str, parse):
+    """Read a file the user named as UTF-8 and return ``parse(text)``.
+
+    This is the CLI's one input boundary: a file that cannot be read or
+    decoded is ``cannot read <what>``, text that ``parse`` rejects is
+    ``bad <what>``, and both are usage errors (exit 2).
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, NfcBmsError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
 
 
 def _emit(args, payload: dict, text_renderer=None) -> None:
@@ -111,29 +125,24 @@ def cmd_handshake(args) -> int:
 # --- readout ---
 
 
-def _load_reports(path: str) -> list:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("expected a non-empty JSON list of reports")
-        return [diagnostics.report_from_json(obj) for obj in raw]
-    except OSError as exc:
-        raise UsageError(f"cannot read reports file: {exc}") from exc
-    except (ValueError, KeyError, TypeError, NfcBmsError) as exc:
-        raise UsageError(f"bad reports file: {exc}") from exc
+def _readout_packet(mode: str, text: str) -> diagnostics.DiagPacket:
+    """The packet a readout sends: a reports file's text, validated."""
+    raw = json.loads(text)
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("expected a non-empty JSON list of reports")
+    reports = [diagnostics.report_from_json(obj) for obj in raw]
+    if mode == "active":
+        return diagnostics.collect_from_bpcs(reports, seq=0)
+    if len(reports) != 1:
+        raise ValueError("idle readout covers exactly one stored pack")
+    return diagnostics.idle_packet(reports[0], seq=0)
 
 
 def cmd_readout(args) -> int:
     key = _load_key(args)
-    reports = _load_reports(args.reports)
-    if args.mode == "idle":
-        if len(reports) != 1:
-            raise UsageError("idle readout covers exactly one stored pack")
-        packets = [diagnostics.idle_packet(reports[0], seq=0)]
-    else:
-        packets = [diagnostics.collect_from_bpcs(reports, seq=0)]
+    packet = _read_input(args.reports, "reports file", lambda text: _readout_packet(args.mode, text))
 
-    _, session = _session(args, key, key, packets)
+    _, session = _session(args, key, key, [packet])
     failure = session.outcome.first_failure
     if failure is not None:
         _emit(args, {"command": "readout", "error": failure.error, "detail": failure.detail})
@@ -173,6 +182,8 @@ def cmd_history(args) -> int:
         pack_id = bytes.fromhex(args.pack_id)
     except ValueError as exc:
         raise UsageError(f"pack id must be hex: {exc}") from exc
+    if len(pack_id) != diagnostics.PACK_ID_LEN:
+        raise UsageError(f"pack id must be {diagnostics.PACK_ID_LEN} bytes, got {len(pack_id)}")
     store = passport.PassportStore(args.store)
     entries = store.history(pack_id)
     payload = {
@@ -190,29 +201,19 @@ def cmd_history(args) -> int:
 # --- wakeup-sim ---
 
 
-def _load_scenario(args) -> wakeup.StorageScenario:
-    if args.scenario:
-        try:
-            obj = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-            return wakeup.StorageScenario.from_json(obj)
-        except OSError as exc:
-            raise UsageError(f"cannot read scenario file: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"bad scenario file: {exc}") from exc
-    return wakeup.StorageScenario(duration_days=args.days)
-
-
 def cmd_wakeup_sim(args) -> int:
-    if args.model:
-        try:
-            model = wakeup.PowerModel(**json.loads(Path(args.model).read_text()))
-        except OSError as exc:
-            raise UsageError(f"cannot read model file: {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"bad model file: {exc}") from exc
-    else:
-        model = wakeup.PowerModel()
-    scenario = _load_scenario(args)
+    if args.trace_out and args.method == "both":
+        raise UsageError("--trace-out needs --method ed|eh: the trace is of one design")
+    # the model is range-checked by compare_methods, so its errors read "bad scenario"
+    model = (
+        _read_input(args.model, "model file", lambda text: wakeup.PowerModel(**json.loads(text)))
+        if args.model else wakeup.PowerModel()
+    )
+    scenario = (
+        _read_input(args.scenario, "scenario file",
+                    lambda text: wakeup.StorageScenario.from_json(json.loads(text)))
+        if args.scenario else wakeup.StorageScenario(duration_days=args.days)
+    )
     try:
         comparison = wakeup.compare_methods(model, scenario)
     except NfcBmsError as exc:
@@ -225,7 +226,10 @@ def cmd_wakeup_sim(args) -> int:
         payload["idle_power_uw"] = selected["idle_power_uw"]
         if args.trace_out:
             trace = wakeup.simulate(model, scenario, wakeup.Method(args.method))
-            Path(args.trace_out).write_text(trace.to_jsonl() + "\n", encoding="utf-8")
+            try:
+                Path(args.trace_out).write_text(trace.to_jsonl() + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise UsageError(f"cannot write trace file: {exc}") from exc
 
     def text(p):
         lines = []
@@ -278,20 +282,18 @@ def _bundled(name: str) -> str:
 def cmd_ban_verify(args) -> int:
     if args.max_depth < 1:
         raise UsageError(f"--max-depth must be at least 1, got {args.max_depth}")
+    # the files are read as text (parse=str) and parsed here: goals need the protocol's symbols
     try:
-        protocol_text = (
-            Path(args.protocol).read_text(encoding="utf-8") if args.protocol
+        spec = ban.parse_protocol(
+            _read_input(args.protocol, "input file", str) if args.protocol
             else _bundled("handshake.ban")
         )
-        spec = ban.parse_protocol(protocol_text)
         if args.goals:
-            goals = ban.parse_goals(Path(args.goals).read_text(encoding="utf-8"), spec.symbols)
+            goals = ban.parse_goals(_read_input(args.goals, "input file", str), spec.symbols)
         elif spec.goals:
             goals = spec.goals
         else:
             goals = ban.parse_goals(_bundled("handshake_goals.ban"), spec.symbols)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read input file: {exc}") from exc
     except ban.ParseError as exc:
         raise UsageError(f"parse error: {exc}") from exc
 

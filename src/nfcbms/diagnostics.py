@@ -30,6 +30,7 @@ MAX_CELL_MV = 5000
 SOC_SOH_MAX = 1000
 HEADER_LEN = 8
 REPORT_FIXED_LEN = 23
+MAX_REPORTS = 0xFFFF  # report_count is two bytes
 
 
 class UseCase(IntEnum):
@@ -96,6 +97,8 @@ class DiagPacket:
             raise RangeViolation("sequence_no outside 32-bit range")
         if not self.reports:
             raise EmptyInput("packet carries no reports")
+        if len(self.reports) > MAX_REPORTS:
+            raise RangeViolation(f"{len(self.reports)} reports, a packet carries at most {MAX_REPORTS}")
         if self.use_case == UseCase.IDLE_DIAG and len(self.reports) != 1:
             raise RangeViolation("idle diagnostic packets carry exactly one report")
         for report in self.reports:

@@ -87,7 +87,7 @@ class PassportStore:
                 continue
             try:
                 out.append(PassportEntry.from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: corrupt entry: {exc}") from exc
         return out
 

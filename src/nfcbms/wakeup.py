@@ -20,7 +20,7 @@ flagged as such in the config schema.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
@@ -58,7 +58,8 @@ class PowerModel:
             "eh_wakeup_latency_ms",
         ):
             value = getattr(self, name)
-            if not isinstance(value, Real) or not math.isfinite(value):
+            # NaN, infinities and integers beyond the float range all fail the comparison
+            if not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
                 raise RangeViolation(f"{name} must be a finite number, got {value!r}")
             if value <= 0:
                 raise RangeViolation(f"{name} must be strictly positive")

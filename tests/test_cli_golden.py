@@ -72,15 +72,26 @@ def _attack(seed: int, fmt: str) -> list:
 CASES = {
     "handshake": [["--seed", "7", "--key", KEY, "handshake"]],
     "handshake-mismatched-key": [["--key", KEY, "handshake", "--controller-key", OTHER_KEY]],
+    "handshake-text": [["--seed", "7", "--key", KEY, "handshake", "--format", "text"]],
+    "handshake-mismatched-key-text": [
+        ["--key", KEY, "handshake", "--controller-key", OTHER_KEY, "--format", "text"],
+    ],
     "readout-idle": [_readout(3, "idle", "one.json")],
     "readout-active": [_readout(4, "active", "three.json")],
     "readout-oversize": [_readout(5, "active", "oversize.json")],
+    "readout-text": [_readout(4, "active", "three.json") + ["--format", "text"]],
     "history": [
         _readout(3, "idle", "one.json"),
         _readout(4, "active", "three.json"),
         ["history", _report(1, 0, 0)["pack_id"], "--store", "store.ndjson"],
     ],
+    "history-text": [
+        _readout(3, "idle", "one.json"),
+        _readout(4, "active", "three.json"),
+        ["history", _report(1, 0, 0)["pack_id"], "--store", "store.ndjson", "--format", "text"],
+    ],
     "wakeup-sim-both": [["wakeup-sim", "--method", "both"]],
+    "wakeup-sim-text": [["wakeup-sim", "--format", "text"]],
     "wakeup-sim-ed-trace": [["wakeup-sim", "--method", "ed", "--trace-out", "trace.jsonl"]],
     "attack-seed0-json": [_attack(0, "json")],
     "attack-seed0-text": [_attack(0, "text")],

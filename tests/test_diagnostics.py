@@ -62,6 +62,26 @@ def test_idle_packet_carries_exactly_one_report():
         bad.validate()
 
 
+def test_packet_carries_at_most_65535_reports():
+    # report_count is two bytes; the count is checked first, so the invalid
+    # last report (no cells) is never reached
+    def packet(reports):
+        return dg.DiagPacket(
+            use_case=dg.UseCase.ACTIVE_DIAG,
+            origin=dg.Origin.BMS_CONTROLLER,
+            reports=tuple(reports),
+            sequence_no=0,
+        )
+
+    report = make_report(1)
+    packet([report] * dg.MAX_REPORTS).validate()
+    too_many = packet([report] * dg.MAX_REPORTS + [make_report(2, cells=0)])
+    with pytest.raises(RangeViolation, match="at most 65535"):
+        too_many.validate()
+    with pytest.raises(RangeViolation, match="at most 65535"):
+        dg.encode_diag(too_many)
+
+
 # --- codec ---
 
 

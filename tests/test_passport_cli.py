@@ -287,6 +287,80 @@ def test_cli_readout_reports_file_must_hold_a_list_of_reports(content, tmp_path,
     assert not (tmp_path / "s.ndjson").exists()
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the decoder's recursion limit
+
+
+def run_cli_error(argv: list, capsys) -> tuple[int, str]:
+    """Run a command that must fail: nothing on stdout, one line on stderr."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return code, captured.err
+
+
+READOUT = ["--key", KEY_HEX, "readout", "--mode", "active", "--reports", "f", "--store", "s.ndjson"]
+REPORT_OVERFLOW = json.dumps([report_dict(1)]).replace('"timestamp": 1700000001', '"timestamp": 1e400')
+
+
+@pytest.mark.parametrize(
+    "argv, content, expected",
+    [
+        (READOUT, DEEP_JSON, "error: bad reports file: maximum recursion depth exceeded"),
+        (["wakeup-sim", "--scenario", "f"], DEEP_JSON,
+         "error: bad scenario file: maximum recursion depth exceeded"),
+        (["wakeup-sim", "--model", "f"], DEEP_JSON,
+         "error: bad model file: maximum recursion depth exceeded"),
+        (READOUT, json.dumps([report_dict(1), report_dict(1)]),
+         "error: bad reports file: pack id 0101010101010101 appears twice"),
+        (READOUT, REPORT_OVERFLOW, "error: bad reports file: cannot convert float infinity"),
+        (["wakeup-sim", "--scenario", "f"], '{"duration_days": 1' + "0" * 400 + "}",
+         "error: bad scenario file: int too large to convert to float"),
+        (READOUT, b"[\xff]", "error: cannot read reports file: 'utf-8' codec"),
+        (["wakeup-sim", "--scenario", "f"], b'{"duration_days": "\xff"}',
+         "error: cannot read scenario file: 'utf-8' codec"),
+        (["wakeup-sim", "--model", "f"], b'{"supply_voltage_v": "\xff"}',
+         "error: cannot read model file: 'utf-8' codec"),
+    ],
+    ids=["reports-deep", "scenario-deep", "model-deep", "reports-duplicate-pack",
+         "reports-infinite-timestamp", "scenario-huge-int",
+         "reports-not-utf8", "scenario-not-utf8", "model-not-utf8"],
+)
+def test_cli_rejects_a_bad_input_file(argv, content, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    (tmp_path / "f").write_bytes(content)
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err.startswith(expected)
+    assert not (tmp_path / "s.ndjson").exists()
+
+
+def test_cli_readout_rejects_more_reports_than_the_count_field_holds(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    reports = [dict(report_dict(1), pack_id=f"{n:016x}") for n in range(dg.MAX_REPORTS + 1)]
+    (tmp_path / "f").write_text(json.dumps(reports))
+    code, err = run_cli_error(READOUT, capsys)
+    assert code == 2
+    assert err == "error: bad reports file: 65536 reports, a packet carries at most 65535\n"
+
+
+def test_cli_history_deeply_nested_store_line_is_corruption(tmp_path, capsys):
+    store = tmp_path / "s.ndjson"
+    store.write_text(DEEP_JSON + "\n")
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err.startswith(f"store error: {store}:1: corrupt entry: maximum recursion depth")
+
+
+@pytest.mark.parametrize("pack_id", ["", "0102", "01" * 9])
+def test_cli_history_pack_id_must_be_8_bytes(pack_id, tmp_path, capsys):
+    code, err = run_cli_error(["history", pack_id, "--store", str(tmp_path / "s.ndjson")], capsys)
+    assert code == 2
+    assert err == f"error: pack id must be 8 bytes, got {len(pack_id) // 2}\n"
+
+
 def test_cli_history_undecodable_store_exit3(tmp_path, capsys):
     store = tmp_path / "s.ndjson"
     store.write_bytes(b"\xff\xfe\n")
@@ -336,10 +410,12 @@ def test_cli_wakeup_sim_trace_out(tmp_path, capsys):
         (["--model", "m.json"], {"m.json": '{"ntag_standby_current_ua": 1e16}'}),
         (["--model", "m.json"],
          {"m.json": '{"ed_wakeup_latency_ms": 1e306, "eh_wakeup_latency_ms": 1e306}'}),
+        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": 1' + "0" * 400 + "}"}),
     ],
     ids=["days-nan", "days-inf", "days-1e300", "days-1e-12",
          "start-nan", "duration-inf", "model-not-a-number",
-         "model-huge-current", "model-power-past-64-bits", "model-huge-latency"],
+         "model-huge-current", "model-power-past-64-bits", "model-huge-latency",
+         "model-int-past-float-range"],
 )
 def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -351,6 +427,21 @@ def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: bad scenario: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_wakeup_sim_trace_out_needs_one_method(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    code, err = run_cli_error(["wakeup-sim", "--trace-out", str(trace)], capsys)
+    assert code == 2
+    assert "--method ed|eh" in err
+    assert not trace.exists()
+
+
+def test_cli_wakeup_sim_unwritable_trace_out_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.jsonl"
+    code, err = run_cli_error(["wakeup-sim", "--method", "ed", "--trace-out", str(trace)], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write trace file: ")
 
 
 def test_cli_attack_replay_blocked_at_message3(capsys):
@@ -419,6 +510,22 @@ def test_cli_ban_verify_undecodable_protocol_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: cannot read input file: ")
+
+
+@pytest.mark.parametrize(
+    "statement, position",
+    [
+        ("(" * 5000 + "NR" + ")" * 5000, 128),  # past the parser's recursion limit
+        ("NR |= " * 600 + "NR", 384),  # parses, but too deep to hash in derivation
+    ],
+    ids=["parentheses", "beliefs"],
+)
+def test_cli_ban_verify_deeply_nested_statement_is_parse_error(statement, position, tmp_path, capsys):
+    protocol = tmp_path / "deep.ban"
+    protocol.write_text(f"principal NR\nassume {statement}\n")
+    code, err = run_cli_error(["ban-verify", "--protocol", str(protocol)], capsys)
+    assert code == 2
+    assert err == f"error: parse error: line 2: statement longer than 128 tokens (at position {position})\n"
 
 
 @pytest.mark.parametrize("depth", ["0", "-3"])
