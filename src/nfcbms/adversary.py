@@ -15,12 +15,12 @@ anywhere in the link transcript.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, NamedTuple
 
 from . import diagnostics, handshake as hs, secure_channel as sc, sndef
-from .errors import BadFlags, NfcBmsError
+from .errors import BadFlags, NfcBmsError, UnknownType
 
 SECRECY_WINDOW = 8
 # above this many windows a plaintext is first checked in one linear pass;
@@ -52,14 +52,13 @@ class LinkChannel:
 
     strategy: object | None = None  # None is an honest link
     transcript: list = field(default_factory=list)
-    _count: int = 0
 
     def transfer(self, direction: str, wire: bytes) -> bytes:
-        self._count += 1
+        frame_no = len(self.transcript) + 1
         delivered = wire
         if self.strategy is not None:
-            delivered = self.strategy.on_frame(self._count, direction, wire)
-        self.transcript.append(FrameLog(self._count, direction, wire, delivered))
+            delivered = self.strategy.on_frame(frame_no, direction, wire)
+        self.transcript.append(FrameLog(frame_no, direction, wire, delivered))
         return delivered
 
     def transcript_blob(self) -> bytes:
@@ -71,12 +70,9 @@ class LinkChannel:
 
 @dataclass
 class Eavesdrop:
-    """Passive: records everything, changes nothing."""
-
-    observed: list = field(default_factory=list)
+    """Passive: changes nothing.  What it sees is the link's transcript."""
 
     def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
-        self.observed.append(wire)
         return wire
 
 
@@ -108,7 +104,7 @@ class Reflect:
             self._msg2_chal = frame[hs.FRAME_HEADER_LEN + 16:]
         if frame_no == 3 and self._msg2_chal is not None:
             forged = hs.HandshakeMessage(3, self._reader_id, self._msg2_chal).to_bytes()
-            return _wrap(sndef.NdefRecord(sndef.RecordType.HANDSHAKE, forged))
+            return _wrap(sndef.RecordType.HANDSHAKE, forged)
         return wire
 
 
@@ -195,24 +191,29 @@ class DrivenSession:
     received: list = field(default_factory=list)  # packets the reader opened and decoded
 
 
-def _wrap(record: sndef.NdefRecord) -> bytes:
+def _attempt(outcome: SessionOutcome, frame_no: int, operation: str, fn):
+    """``fn()``, or None with the first protocol error kept as the outcome's first failure."""
+    try:
+        return fn()
+    except NfcBmsError as exc:
+        if outcome.first_failure is None:
+            outcome.first_failure = FailureInfo(frame_no, operation, type(exc).__name__, str(exc))
+        return None
+
+
+def _wrap(type_code: sndef.RecordType, payload: bytes) -> bytes:
     """A link frame: a one-record NDEF message."""
-    return sndef.encode_message(sndef.NdefMessage([record]))
+    return sndef.encode_message(sndef.NdefMessage([sndef.NdefRecord(type_code, payload)]))
 
 
-def _unwrap(wire: bytes) -> sndef.NdefRecord:
-    """The one record a link frame carries."""
+def _unwrap(wire: bytes, type_code: sndef.RecordType) -> bytes:
+    """The payload of the one record, of type ``type_code``, a link frame carries."""
     records = sndef.decode_message(wire).records
     if len(records) != 1:
         raise BadFlags(f"a link frame is one record, got {len(records)}")
-    return records[0]
-
-
-def _handshake_payload(wire: bytes) -> bytes:
-    record = _unwrap(wire)
-    if record.type_code != sndef.RecordType.HANDSHAKE:
-        raise sndef.UnknownType(f"expected HANDSHAKE, got {record.type_code.name}")
-    return record.payload
+    if records[0].type_code != type_code:
+        raise UnknownType(f"expected {type_code.name}, got {records[0].type_code.name}")
+    return records[0].payload
 
 
 def _words(data: bytes):
@@ -282,20 +283,13 @@ def drive_session(
     plaintexts = [diagnostics.encode_diag(p) for p in workload]
     session = DrivenSession(SessionOutcome(), reader, plaintexts)
     outcome = session.outcome
-
-    def step(frame_no: int, operation: str, fn):
-        try:
-            return fn()
-        except NfcBmsError as exc:
-            outcome.first_failure = FailureInfo(frame_no, operation, type(exc).__name__, str(exc))
-            return None
+    handshake, secure = sndef.RecordType.HANDSHAKE, sndef.RecordType.SNDEF_SECURE
 
     frame = reader.reader_start().to_bytes()
     for msg_no, direction, operation in HANDSHAKE_FLOW:
-        record = sndef.NdefRecord(sndef.RecordType.HANDSHAKE, frame)
-        wire = channel.transfer(direction, _wrap(record))
+        wire = channel.transfer(direction, _wrap(handshake, frame))
         receive = getattr(controller if direction.endswith("controller") else reader, operation)
-        reply = step(msg_no, operation, lambda: receive(_handshake_payload(wire)))
+        reply = _attempt(outcome, msg_no, operation, lambda: receive(_unwrap(wire, handshake)))
         if reply is None:  # a failure, or the final step, which sends nothing
             break
         frame = reply.to_bytes()
@@ -304,14 +298,14 @@ def drive_session(
 
     if outcome.established:
         for frame_no, plain in enumerate(session.plaintexts, start=6):
-            sealed = step(frame_no, "seal_record", lambda: _wrap(
-                sndef.wrap_secure(sc.seal_record(controller.channel, plain, b"", controller.rng))
+            sealed = _attempt(outcome, frame_no, "seal_record", lambda: _wrap(
+                secure, sndef.encode_secure_payload(sc.seal_record(controller.channel, plain, b"", controller.rng))
             ))
             if sealed is None:
                 break
             wire = channel.transfer("controller->reader", sealed)
-            packet = step(frame_no, "open_record", lambda: diagnostics.decode_diag(
-                sc.open_record(reader.channel, sndef.unwrap_secure(_unwrap(wire)))
+            packet = _attempt(outcome, frame_no, "open_record", lambda: diagnostics.decode_diag(
+                sc.open_record(reader.channel, sndef.decode_secure_payload(_unwrap(wire, secure)))
             ))
             if packet is None:
                 break
@@ -350,23 +344,15 @@ def run_chosen_challenge(
             controller_cfg.rng(),
         )
         m1 = hs.HandshakeMessage(1, fake_reader_id, probe).to_bytes()
-        try:
-            m2 = controller.controller_respond(m1)
-        except NfcBmsError as exc:
-            outcome.first_failure = outcome.first_failure or FailureInfo(
-                2, "controller_respond", type(exc).__name__
-            )
+        m2 = _attempt(outcome, 2, "controller_respond", lambda: controller.controller_respond(m1))
+        if m2 is None:
             continue
         strategy.responses.append((probe, m2.body[16:]))
         # no key, so the best available answer is noise
         forged = hs.HandshakeMessage(3, fake_reader_id, rng.randbytes(32)).to_bytes()
-        try:
-            controller.controller_key_confirm(forged)
+        if _attempt(outcome, 4, "controller_key_confirm",
+                    lambda: controller.controller_key_confirm(forged)) is not None:
             outcome.established_controller = True  # would be an attack success
-        except NfcBmsError as exc:
-            outcome.first_failure = outcome.first_failure or FailureInfo(
-                4, "controller_key_confirm", type(exc).__name__
-            )
     for probe, response in strategy.responses:
         plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
         single = sc._aes_cbc(controller_cfg.master.bytes, bytes(16), plain, decrypt=False)
@@ -384,8 +370,8 @@ class StrategyReport:
     runs: int = 0
     successes: int = 0
     leaks: int = 0
-    blocked_at: dict = field(default_factory=dict)  # frame no -> count
-    errors: dict = field(default_factory=dict)  # error name -> count
+    blocked_at: Counter = field(default_factory=Counter)  # frame no -> count
+    errors: Counter = field(default_factory=Counter)  # error name -> count
     demo: dict | None = None  # canonical fixed-shape run
 
     def to_json(self) -> dict:
@@ -457,38 +443,33 @@ def _harvest_honest_frames(
 RUNS_PER_STRATEGY = 100
 
 
-def _on_link(make_strategy):
-    """Runner that puts the strategy ``make_strategy`` builds on the link of one session."""
-
-    def run(reader_cfg, controller_cfg, workload, rng):
-        channel = LinkChannel(strategy=make_strategy(reader_cfg, controller_cfg, workload, rng))
-        outcome = run_session(channel, reader_cfg, controller_cfg, workload)
-        return outcome, _link_attack_won(outcome, channel, workload)
-
-    return run
-
-
-def _probing(count: int):
-    """Runner for the adversary as reader: ``count`` chosen challenges, no link.
-    The attack wins if the controller reaches Established."""
-
-    def run(reader_cfg, controller_cfg, workload, rng):
-        strategy = ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(count)])
-        outcome = run_chosen_challenge(controller_cfg, strategy, rng)
-        return outcome, outcome.established_controller
-
-    return run
-
-
-def _random_replay(reader_cfg, controller_cfg, workload, rng) -> Replay:
+def _replay(reader_cfg, controller_cfg, workload, rng, demo) -> Replay:
     prior = _harvest_honest_frames(reader_cfg, controller_cfg, workload, rng)
-    n_frames = 5 + len(workload)
-    return Replay(frame_index=rng.randrange(1, min(n_frames, len(prior)) + 1), prior_frames=prior)
+    last = min(5 + len(workload), len(prior))
+    return Replay(frame_index=2 if demo else rng.randrange(1, last + 1), prior_frames=prior)
 
 
-def _random_bitflip(reader_cfg, controller_cfg, workload, rng) -> BitFlip:
-    n_frames = 5 + len(workload)
-    return BitFlip(frame_index=rng.randrange(1, n_frames + 1), bit_index=rng.randrange(1 << 16))
+def _bitflip(reader_cfg, controller_cfg, workload, rng, demo) -> BitFlip:
+    if demo:
+        return BitFlip(frame_index=4, bit_index=123)
+    return BitFlip(frame_index=rng.randrange(1, 5 + len(workload) + 1), bit_index=rng.randrange(1 << 16))
+
+
+def _chosen_challenge(reader_cfg, controller_cfg, workload, rng, demo) -> ChosenChallenge:
+    return ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(2 if demo else 3)])
+
+
+# One factory per strategy: ``(reader_cfg, controller_cfg, workload, rng,
+# demo)`` -> that run's adversary, where ``demo`` asks for the canonical
+# fixed shape.  Insertion order is the strategy index that seeds every run.
+STRATEGIES = {
+    "eavesdrop": lambda *_: Eavesdrop(),
+    "replay": _replay,
+    "reflect": lambda *_: Reflect(),
+    "bitflip": _bitflip,
+    "chosen-challenge": _chosen_challenge,
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def _link_attack_won(outcome: SessionOutcome, channel: LinkChannel, workload: list) -> bool:
@@ -501,32 +482,18 @@ def _link_attack_won(outcome: SessionOutcome, channel: LinkChannel, workload: li
     )
 
 
-class StrategyPlay(NamedTuple):
-    """How one strategy is played.  Both runners take ``(reader_cfg,
-    controller_cfg, workload, rng)`` and return ``(outcome, won)``, where
-    ``won`` says the attack succeeded."""
-
-    demo: Callable  # the canonical fixed-shape run
-    randomized: Callable  # one seeded run of the suite
-
-
-_eavesdrop = _on_link(lambda *_: Eavesdrop())
-_reflect = _on_link(lambda *_: Reflect())
-
-# Insertion order is the strategy index that seeds every run.
-STRATEGIES = {
-    "eavesdrop": StrategyPlay(_eavesdrop, _eavesdrop),
-    "replay": StrategyPlay(
-        _on_link(lambda r, c, w, rng: Replay(2, _harvest_honest_frames(r, c, w, rng))),
-        _on_link(_random_replay),
-    ),
-    "reflect": StrategyPlay(_reflect, _reflect),
-    "bitflip": StrategyPlay(
-        _on_link(lambda *_: BitFlip(frame_index=4, bit_index=123)), _on_link(_random_bitflip)
-    ),
-    "chosen-challenge": StrategyPlay(_probing(2), _probing(3)),
-}
-STRATEGY_NAMES = tuple(STRATEGIES)
+def _play(name, reader_cfg, controller_cfg, workload, rng, demo=False) -> tuple:
+    """One run of strategy ``name``: ``(outcome, won)``, where ``won`` says
+    the attack succeeded.  The adversary as reader plays off the link and
+    wins if the controller reaches Established; every other adversary
+    plays on the link of one session."""
+    strategy = STRATEGIES[name](reader_cfg, controller_cfg, workload, rng, demo)
+    if isinstance(strategy, ChosenChallenge):
+        outcome = run_chosen_challenge(controller_cfg, strategy, rng)
+        return outcome, outcome.established_controller
+    channel = LinkChannel(strategy=strategy)
+    outcome = run_session(channel, reader_cfg, controller_cfg, workload)
+    return outcome, _link_attack_won(outcome, channel, workload)
 
 
 def canonical_demo(name: str, seed: int) -> SessionOutcome:
@@ -536,7 +503,7 @@ def canonical_demo(name: str, seed: int) -> SessionOutcome:
     rng = random.Random(seed * 7919 + STRATEGY_NAMES.index(name))
     reader_cfg, controller_cfg = _session_configs(rng)
     workload = _random_workload(rng, 1)
-    outcome, _ = STRATEGIES[name].demo(reader_cfg, controller_cfg, workload, rng)
+    outcome, _ = _play(name, reader_cfg, controller_cfg, workload, rng, demo=True)
     return outcome
 
 
@@ -562,16 +529,12 @@ def run_attack_suite(
             reader_cfg, controller_cfg = _session_configs(rng)
             workload = _random_workload(rng, rng.randrange(1, 4))
             sreport.runs += 1
-            outcome, won = STRATEGIES[name].randomized(reader_cfg, controller_cfg, workload, rng)
+            outcome, won = _play(name, reader_cfg, controller_cfg, workload, rng)
             if won:
                 sreport.successes += 1
             if outcome.secrecy_hits:
                 sreport.leaks += 1
             if outcome.first_failure is not None:
-                sreport.blocked_at[outcome.first_failure.frame_no] = (
-                    sreport.blocked_at.get(outcome.first_failure.frame_no, 0) + 1
-                )
-                sreport.errors[outcome.first_failure.error] = (
-                    sreport.errors.get(outcome.first_failure.error, 0) + 1
-                )
+                sreport.blocked_at[outcome.first_failure.frame_no] += 1
+                sreport.errors[outcome.first_failure.error] += 1
     return report

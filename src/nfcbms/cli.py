@@ -188,7 +188,7 @@ def cmd_history(args) -> int:
     entries = store.history(pack_id)
     payload = {
         "command": "history",
-        "pack_id": args.pack_id,
+        "pack_id": pack_id.hex(),
         "entries": [e.to_json() for e in entries],
     }
     _emit(args, payload, lambda p: "\n".join(
@@ -204,7 +204,9 @@ def cmd_history(args) -> int:
 def cmd_wakeup_sim(args) -> int:
     if args.trace_out and args.method == "both":
         raise UsageError("--trace-out needs --method ed|eh: the trace is of one design")
-    # the model is range-checked by compare_methods, so its errors read "bad scenario"
+    if args.scenario and args.days is not None:
+        raise UsageError("give --scenario or --days, not both: the scenario file sets the duration")
+    # the model is range-checked by simulate, so its errors read "bad scenario"
     model = (
         _read_input(args.model, "model file", lambda text: wakeup.PowerModel(**json.loads(text)))
         if args.model else wakeup.PowerModel()
@@ -212,10 +214,12 @@ def cmd_wakeup_sim(args) -> int:
     scenario = (
         _read_input(args.scenario, "scenario file",
                     lambda text: wakeup.StorageScenario.from_json(json.loads(text)))
-        if args.scenario else wakeup.StorageScenario(duration_days=args.days)
+        if args.scenario
+        else wakeup.StorageScenario(duration_days=1.0 if args.days is None else args.days)
     )
     try:
-        comparison = wakeup.compare_methods(model, scenario)
+        traces = {method: wakeup.simulate(model, scenario, method) for method in wakeup.Method}
+        comparison = wakeup.compare_traces(model, traces)
     except NfcBmsError as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
     payload = {"command": "wakeup-sim", "comparison": comparison}
@@ -225,7 +229,7 @@ def cmd_wakeup_sim(args) -> int:
         payload["avg_power_uw"] = selected["avg_power_uw"]
         payload["idle_power_uw"] = selected["idle_power_uw"]
         if args.trace_out:
-            trace = wakeup.simulate(model, scenario, wakeup.Method(args.method))
+            trace = traces[wakeup.Method(args.method)]
             try:
                 Path(args.trace_out).write_text(trace.to_jsonl() + "\n", encoding="utf-8")
             except OSError as exc:
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("wakeup-sim", cmd_wakeup_sim, "compare the wake-up designs")
     p.add_argument("--method", choices=("ed", "eh", "both"), default="both")
-    p.add_argument("--days", type=float, default=1.0)
+    p.add_argument("--days", type=float, help="storage duration (default 1; not with --scenario)")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--model", help="power model overrides (JSON file)")
     p.add_argument("--trace-out", help="write the event trace as JSON lines")
@@ -373,6 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.key is not None and args.key_file is not None:
+            raise UsageError("give --key or --key-file, not both")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

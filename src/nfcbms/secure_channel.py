@@ -13,7 +13,9 @@ Three pieces live here:
 * the record channel: AES-128-CBC in Encrypt-then-MAC mode with CMAC
   tag chaining, where each record's MAC input is
   ``sec_data | IV | add_data | previous_tag`` so replayed, reordered,
-  duplicated or dropped records break the chain.
+  duplicated or dropped records break the chain.  A dropped tail does
+  not: no record carries a count or an end-of-stream mark, so a reader
+  that stops early sees no error (docs/formats.md, "Secure records").
 """
 
 from __future__ import annotations

@@ -137,13 +137,3 @@ def decode_secure_payload(payload: bytes) -> SecureRecord:
     if not sec_data or len(sec_data) % 16:
         raise Truncated("sec_data must be a positive multiple of 16 bytes")
     return SecureRecord(iv=iv, sec_data=sec_data, add_data=add_data, tag=tag)
-
-
-def wrap_secure(record: SecureRecord) -> NdefRecord:
-    return NdefRecord(RecordType.SNDEF_SECURE, encode_secure_payload(record))
-
-
-def unwrap_secure(rec: NdefRecord) -> SecureRecord:
-    if rec.type_code != RecordType.SNDEF_SECURE:
-        raise UnknownType(f"expected SNDEF_SECURE, got {rec.type_code.name}")
-    return decode_secure_payload(rec.payload)

@@ -233,7 +233,11 @@ def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> Wa
 
 def compare_methods(model: PowerModel, scenario: StorageScenario) -> dict:
     """Simulate both designs and rank them by power and by latency."""
-    traces = {m: simulate(model, scenario, m) for m in Method}
+    return compare_traces(model, {m: simulate(model, scenario, m) for m in Method})
+
+
+def compare_traces(model: PowerModel, traces: dict) -> dict:
+    """Rank the two designs' traces of one scenario by power and by latency."""
     ed, eh = traces[Method.ED], traces[Method.EH]
 
     if ed.avg_power_uw == eh.avg_power_uw:

@@ -80,13 +80,13 @@ def test_bitflip_on_sealed_record_flagged():
 
 def test_eavesdrop_sees_no_plaintext():
     reader_cfg, controller_cfg, workload = small_setup(8)
-    strategy = adv.Eavesdrop()
-    outcome = adv.run_session(
-        adv.LinkChannel(strategy=strategy), reader_cfg, controller_cfg, workload
-    )
+    channel = adv.LinkChannel(strategy=adv.Eavesdrop())
+    outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
     assert outcome.established
     assert outcome.secrecy_hits == []
-    assert len(strategy.observed) == outcome.frames_on_link
+    # passive: the adversary saw every frame and changed none
+    assert len(channel.transcript) == outcome.frames_on_link == 5 + len(workload)
+    assert all(f.sent == f.delivered for f in channel.transcript)
 
 
 def test_secrecy_scan_catches_a_leak():
@@ -189,19 +189,50 @@ class AppendRecord:
         return sndef.encode_message(sndef.NdefMessage(records + [extra]))
 
 
-# a failure is reported at the message the receiving step would send
-@pytest.mark.parametrize("frame_index, message, operation", [
+@dataclass
+class Retype:
+    """Swap one frame's record type, HANDSHAKE <-> SNDEF_SECURE, in transit."""
+
+    frame_index: int
+
+    def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
+        if frame_no != self.frame_index:
+            return wire
+        (record,) = sndef.decode_message(wire).records
+        handshake, secure = sndef.RecordType.HANDSHAKE, sndef.RecordType.SNDEF_SECURE
+        retyped = secure if record.type_code == handshake else handshake
+        return sndef.encode_message(sndef.NdefMessage([sndef.NdefRecord(retyped, record.payload)]))
+
+
+# a failure is reported at the message the receiving step would send, and
+# the operation is that step (docs/formats.md, "Link")
+LINK_FAILURE_POINTS = [
     (1, 2, "controller_respond"),
     (2, 3, "reader_answer"),
     (5, 5, "controller_finalize"),
     (6, 6, "open_record"),
-])
+]
+
+
+@pytest.mark.parametrize("frame_index, message, operation", LINK_FAILURE_POINTS)
 def test_link_frame_with_two_records_is_rejected(frame_index, message, operation):
     reader_cfg, controller_cfg, workload = small_setup(12)
     channel = adv.LinkChannel(strategy=AppendRecord(frame_index))
     outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
     failure = outcome.first_failure
     assert (failure.frame_no, failure.operation, failure.error) == (message, operation, "BadFlags")
+    assert outcome.packets_delivered == 0
+
+
+@pytest.mark.parametrize("frame_index, message, operation", LINK_FAILURE_POINTS)
+def test_link_frame_of_the_wrong_record_type_is_rejected(frame_index, message, operation):
+    reader_cfg, controller_cfg, workload = small_setup(12)
+    channel = adv.LinkChannel(strategy=Retype(frame_index))
+    outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
+    failure = outcome.first_failure
+    assert (failure.frame_no, failure.operation, failure.error) == (message, operation, "UnknownType")
+    wanted, got = ("SNDEF_SECURE", "HANDSHAKE") if frame_index >= 6 else ("HANDSHAKE", "SNDEF_SECURE")
+    assert failure.detail == f"expected {wanted}, got {got}"
     assert outcome.packets_delivered == 0
 
 

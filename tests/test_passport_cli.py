@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nfcbms import cli, diagnostics as dg, passport
+from nfcbms import cli, diagnostics as dg, passport, wakeup
 from nfcbms.errors import StoreError
 
 KEY_HEX = "00112233445566778899aabbccddeeff"
@@ -173,6 +173,19 @@ def test_cli_unreadable_key_file_is_usage_error(content, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--key", "zz", "--key-file", "k.hex", "handshake"],
+    ["--key", KEY_HEX, "handshake", "--key-file", "k.hex"],
+    ["--key-file", "k.hex", "attack", "--key", KEY_HEX, "--runs", "1"],
+], ids=["invalid-key", "options-split", "keyless-command"])
+def test_cli_key_with_key_file_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.hex").write_text(KEY_HEX + "\n")
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err == "error: give --key or --key-file, not both\n"
+
+
 def test_cli_bad_key_is_usage_error(capsys):
     code, _ = run_cli(["--key", "zz", "handshake"], capsys)
     assert code == 2
@@ -232,6 +245,25 @@ def test_cli_history_roundtrip(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["entries"]) == 1
+
+
+@pytest.mark.parametrize("typed, canonical", [
+    ("01 01 01 01 01 01 01 01", "01" * 8),
+    ("0A0B0C0D0E0F1011", "0a0b0c0d0e0f1011"),
+    ("0a 0B0c0D 0e0F1011", "0a0b0c0d0e0f1011"),
+])
+def test_cli_history_prints_the_canonical_pack_id(typed, canonical, tmp_path, capsys):
+    store = str(tmp_path / "s.ndjson")
+    run_cli(["--key", KEY_HEX, "readout", "--mode", "idle",
+             "--reports", write_reports(tmp_path, 1), "--store", store], capsys)
+    entries = 1 if canonical == "01" * 8 else 0
+    code, out = run_cli(["history", typed, "--store", store], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["pack_id"], len(payload["entries"])) == (canonical, entries)
+    code, out = run_cli(["history", typed, "--store", store, "--format", "text"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == f"{entries} entries for pack {canonical}"
 
 
 def test_cli_history_unknown_pack_empty_list(tmp_path, capsys):
@@ -393,6 +425,32 @@ def test_cli_wakeup_sim_trace_out(tmp_path, capsys):
     assert code == 0
     lines = trace.read_text().strip().splitlines()
     assert json.loads(lines[0])["state"] == "idle"
+
+
+def test_cli_wakeup_sim_trace_out_simulates_each_design_once(tmp_path, capsys, monkeypatch):
+    simulate, calls = wakeup.simulate, []
+
+    def counted(model, scenario, method):
+        calls.append(method)
+        return simulate(model, scenario, method)
+
+    monkeypatch.setattr(wakeup, "simulate", counted)
+    trace = tmp_path / "trace.jsonl"
+    code, _ = run_cli(["wakeup-sim", "--method", "ed", "--trace-out", str(trace)], capsys)
+    assert code == 0
+    assert sorted(calls) == [wakeup.Method.ED, wakeup.Method.EH]
+    one_day = wakeup.StorageScenario(duration_days=1.0)
+    assert trace.read_text() == simulate(wakeup.PowerModel(), one_day, wakeup.Method.ED).to_jsonl() + "\n"
+
+
+def test_cli_wakeup_sim_scenario_with_days_is_usage_error(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"duration_days": 2}')
+    code, err = run_cli_error(["wakeup-sim", "--scenario", str(scenario), "--days", "365"], capsys)
+    assert code == 2
+    assert err == "error: give --scenario or --days, not both: the scenario file sets the duration\n"
+    # alone or omitted, --days is one day by default
+    assert run_cli(["wakeup-sim"], capsys) == run_cli(["wakeup-sim", "--days", "1"], capsys)
 
 
 @pytest.mark.parametrize(

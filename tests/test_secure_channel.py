@@ -246,6 +246,22 @@ def test_chain_soundness_reorder_duplicate_omit():
         sc.open_record(r, records[2])
 
 
+def test_a_dropped_middle_record_is_caught_a_dropped_suffix_is_not():
+    # the chain catches a gap, but no record carries a count or an
+    # end-of-stream mark, so a reader that stops early sees no error
+    rng = random.Random(12)
+    sender, _ = make_pair(6)
+    records = [sc.seal_record(sender, f"r{i}".encode(), b"", rng) for i in range(3)]
+
+    _, receiver = make_pair(6)
+    sc.open_record(receiver, records[0])
+    with pytest.raises(TagMismatch):
+        sc.open_record(receiver, records[2])
+
+    _, receiver = make_pair(6)
+    assert [sc.open_record(receiver, rec) for rec in records[:2]] == [b"r0", b"r1"]
+
+
 def test_open_requires_established_channel():
     state = sc.ChannelState()
     with pytest.raises(ChannelNotEstablished):

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nfcbms import sndef
+from nfcbms import adversary as adv, sndef
 from nfcbms.errors import BadFlags, EmptyInput, OversizeMessage, Truncated, UnknownType
 from nfcbms.secure_channel import SecureRecord
 
@@ -115,27 +115,29 @@ def make_record(add_data: bytes = b"hdr", blocks: int = 2) -> SecureRecord:
 
 
 def test_wrap_unwrap_roundtrip():
+    # a sealed record through the link-frame codec and back
     rec = make_record()
-    assert sndef.unwrap_secure(sndef.wrap_secure(rec)) == rec
+    secure = sndef.RecordType.SNDEF_SECURE
+    wire = adv._wrap(secure, sndef.encode_secure_payload(rec))
+    assert sndef.decode_secure_payload(adv._unwrap(wire, secure)) == rec
 
 
 def test_wrap_empty_add_data_payload_length():
     rec = make_record(add_data=b"", blocks=3)
-    wrapped = sndef.wrap_secure(rec)
-    assert len(wrapped.payload) == 34 + len(rec.sec_data)
+    assert len(sndef.encode_secure_payload(rec)) == 34 + len(rec.sec_data)
 
 
 def test_unwrap_wrong_type_rejected():
-    rec = sndef.NdefRecord(sndef.RecordType.DIAG_PLAIN, b"\x00" * 50)
-    with pytest.raises(UnknownType):
-        sndef.unwrap_secure(rec)
+    wire = adv._wrap(sndef.RecordType.DIAG_PLAIN, b"\x00" * 50)
+    with pytest.raises(UnknownType, match="expected SNDEF_SECURE, got DIAG_PLAIN"):
+        adv._unwrap(wire, sndef.RecordType.SNDEF_SECURE)
 
 
 def test_unwrap_truncated_rejected():
-    wrapped = sndef.wrap_secure(make_record())
+    payload = sndef.encode_secure_payload(make_record())
     for cut in (10, 33, 35):
         with pytest.raises(Truncated):
-            sndef.decode_secure_payload(wrapped.payload[:cut])
+            sndef.decode_secure_payload(payload[:cut])
 
 
 @given(
