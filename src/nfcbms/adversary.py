@@ -355,7 +355,7 @@ def run_chosen_challenge(
             outcome.established_controller = True  # would be an attack success
     for probe, response in strategy.responses:
         plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
-        single = sc._aes_cbc(controller_cfg.master.bytes, bytes(16), plain, decrypt=False)
+        single = controller_cfg.master.aes.cbc_encrypt(bytes(16), plain)
         double = sc.double_encrypt(controller_cfg.master, plain, pad=False)
         if response == single or response != double:
             outcome.secrecy_hits.append("single-pass-oracle:" + probe.hex())

@@ -41,7 +41,7 @@ CONTROLLER_ID = b"MNC1"
 
 def _load_key(args, attr: str = "key") -> sc.MasterKey:
     key_hex = getattr(args, attr, None)
-    if attr == "key" and getattr(args, "key_file", None):
+    if attr == "key" and getattr(args, "key_file", None) is not None:
         key_hex = _read_input(args.key_file, "key file", str.strip)
     if key_hex is None:
         key_hex = DEFAULT_KEY_HEX
@@ -62,6 +62,8 @@ def _read_input(path: str, what: str, parse):
     decoded is ``cannot read <what>``, text that ``parse`` rejects is
     ``bad <what>``, and both are usage errors (exit 2).
     """
+    if not path:  # Path("") is the working directory, not a missing option
+        raise UsageError(f"cannot read {what}: empty path")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -96,7 +98,7 @@ def _session(args, reader_key, controller_key, packets: list):
 
 def cmd_handshake(args) -> int:
     reader_key = _load_key(args)
-    controller_key = _load_key(args, "controller_key") if args.controller_key else reader_key
+    controller_key = _load_key(args, "controller_key") if args.controller_key is not None else reader_key
     channel, session = _session(args, reader_key, controller_key, [])
     outcome = session.outcome
     payload = {
@@ -202,19 +204,19 @@ def cmd_history(args) -> int:
 
 
 def cmd_wakeup_sim(args) -> int:
-    if args.trace_out and args.method == "both":
+    if args.trace_out is not None and args.method == "both":
         raise UsageError("--trace-out needs --method ed|eh: the trace is of one design")
-    if args.scenario and args.days is not None:
+    if args.scenario is not None and args.days is not None:
         raise UsageError("give --scenario or --days, not both: the scenario file sets the duration")
     # the model is range-checked by simulate, so its errors read "bad scenario"
     model = (
         _read_input(args.model, "model file", lambda text: wakeup.PowerModel(**json.loads(text)))
-        if args.model else wakeup.PowerModel()
+        if args.model is not None else wakeup.PowerModel()
     )
     scenario = (
         _read_input(args.scenario, "scenario file",
                     lambda text: wakeup.StorageScenario.from_json(json.loads(text)))
-        if args.scenario
+        if args.scenario is not None
         else wakeup.StorageScenario(duration_days=1.0 if args.days is None else args.days)
     )
     try:
@@ -228,7 +230,7 @@ def cmd_wakeup_sim(args) -> int:
         payload["method"] = args.method
         payload["avg_power_uw"] = selected["avg_power_uw"]
         payload["idle_power_uw"] = selected["idle_power_uw"]
-        if args.trace_out:
+        if args.trace_out is not None:
             trace = traces[wakeup.Method(args.method)]
             try:
                 Path(args.trace_out).write_text(trace.to_jsonl() + "\n", encoding="utf-8")
@@ -289,10 +291,10 @@ def cmd_ban_verify(args) -> int:
     # the files are read as text (parse=str) and parsed here: goals need the protocol's symbols
     try:
         spec = ban.parse_protocol(
-            _read_input(args.protocol, "input file", str) if args.protocol
+            _read_input(args.protocol, "input file", str) if args.protocol is not None
             else _bundled("handshake.ban")
         )
-        if args.goals:
+        if args.goals is not None:
             goals = ban.parse_goals(_read_input(args.goals, "input file", str), spec.symbols)
         elif spec.goals:
             goals = spec.goals

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_crypto as ref
 from nfcbms import adversary as adv, diagnostics as dg, sndef
 
 
@@ -108,8 +109,9 @@ def test_chosen_challenge_gets_double_transform_only():
     assert len(strategy.responses) == 3
     for probe, response in strategy.responses:
         plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
-        single = sc._aes_cbc(controller_cfg.master.bytes, bytes(16), plain, decrypt=False)
-        double = sc.double_encrypt(controller_cfg.master, plain, pad=False)
+        key = controller_cfg.master.bytes
+        single = ref.cbc_encrypt(key, bytes(16), plain)
+        double = ref.cbc_encrypt(key, bytes(16), single)
         assert response == double
         assert response != single
 

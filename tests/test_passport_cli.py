@@ -369,6 +369,31 @@ def test_cli_rejects_a_bad_input_file(argv, content, expected, tmp_path, capsys,
     assert not (tmp_path / "s.ndjson").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--key-file", "", "handshake"], "error: cannot read key file: empty path"),
+        (["handshake", "--controller-key", ""], "error: bad key material: master key must be 16 bytes"),
+        (["wakeup-sim", "--scenario", ""], "error: cannot read scenario file: empty path"),
+        (["wakeup-sim", "--model", ""], "error: cannot read model file: empty path"),
+        (["wakeup-sim", "--method", "ed", "--trace-out", ""], "error: cannot write trace file: "),
+        (["wakeup-sim", "--trace-out", ""], "error: --trace-out needs --method ed|eh"),
+        (["ban-verify", "--protocol", ""], "error: cannot read input file: empty path"),
+        (["ban-verify", "--goals", ""], "error: cannot read input file: empty path"),
+        (READOUT[:-4] + ["--reports", "", "--store", "s.ndjson"],
+         "error: cannot read reports file: empty path"),
+    ],
+    ids=["key-file", "controller-key", "scenario", "model", "trace-out", "trace-out-both",
+         "protocol", "goals", "reports"],
+)
+def test_cli_empty_file_option_is_not_a_missing_option(argv, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err.startswith(expected)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_readout_rejects_more_reports_than_the_count_field_holds(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     reports = [dict(report_dict(1), pack_id=f"{n:016x}") for n in range(dg.MAX_REPORTS + 1)]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings, strategies as st
 
 import reference_crypto as ref
 from nfcbms import secure_channel as sc
@@ -308,3 +312,100 @@ def test_master_key_repr_redacted():
     assert "00112233" not in repr(key)
     keys = sc.derive_session_keys(KEY, CH_R, CH_T)
     assert keys.k_enc.hex() not in repr(keys)
+
+
+# --- keyed primitives held by their keys ---
+
+# block counts on both sides of the chaining and the big-int XOR bounds
+_EDGE_BLOCKS = [sc._CHAIN_MAX_BLOCKS + d for d in (-1, 0, 1)] + [
+    sc._XOR_MAX_BLOCKS + d for d in (-1, 0, 1)
+]
+
+
+def _fresh_cbc(key: bytes, iv: bytes, data: bytes, *, decrypt: bool) -> bytes:
+    cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
+    op = cipher.decryptor() if decrypt else cipher.encryptor()
+    return op.update(data) + op.finalize()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    ivs=st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=2),
+    blocks=st.lists(
+        st.one_of(st.sampled_from(_EDGE_BLOCKS), st.integers(1, 512)), min_size=2, max_size=2
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_keyed_cbc_equals_fresh_cipher(key, ivs, blocks, seed):
+    # two calls each way on one holder: the reused ECB contexts carry nothing over
+    aes = sc._Aes(key)
+    rng = random.Random(seed)
+    for iv, n in zip(ivs, blocks):
+        data = rng.randbytes(16 * n)
+        assert aes.cbc_encrypt(iv, data) == _fresh_cbc(key, iv, data, decrypt=False)
+        assert aes.cbc_decrypt(iv, data) == _fresh_cbc(key, iv, data, decrypt=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    iv=st.binary(min_size=16, max_size=16),
+    data=st.integers(1, sc._CHAIN_MAX_BLOCKS + 1).flatmap(
+        lambda n: st.binary(min_size=16 * n, max_size=16 * n)
+    ),
+)
+def test_keyed_cbc_matches_reference(key, iv, data):
+    aes = sc._Aes(key)
+    assert aes.cbc_encrypt(iv, data) == ref.cbc_encrypt(key, iv, data)
+    assert aes.cbc_decrypt(iv, data) == ref.cbc_decrypt(key, iv, data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    messages=st.lists(st.binary(max_size=80), min_size=2, max_size=4),
+)
+def test_keyed_cmac_copies_leak_nothing_between_macs(key, messages):
+    aes = sc._Aes(key)
+    for msg in messages + messages[:1]:
+        assert aes.cmac(msg) == ref.cmac(key, msg)
+
+
+def test_keyed_cbc_refuses_unaligned_input_and_stays_usable():
+    aes = sc._Aes(bytes(range(16)))
+    with pytest.raises(BadLength):
+        aes.cbc_encrypt(bytes(16), bytes(17))
+    with pytest.raises(BadLength):
+        aes.cbc_decrypt(bytes(16), bytes(15))
+    data = bytes(range(32))
+    assert aes.cbc_encrypt(bytes(16), data) == ref.cbc_encrypt(bytes(range(16)), bytes(16), data)
+    assert aes.cbc_decrypt(bytes(16), data) == ref.cbc_decrypt(bytes(range(16)), bytes(16), data)
+    assert aes.cbc_encrypt(bytes(16), b"") == aes.cbc_decrypt(bytes(16), b"") == b""
+
+
+def test_mac_key_builds_no_cipher_contexts():
+    sender, receiver = make_pair(16)
+    sc.open_record(receiver, sc.seal_record(sender, b"x", b"", random.Random(17)))
+    assert "_mac" in vars(sender.keys.mac)
+    assert "_ecb_enc" not in vars(sender.keys.mac) and "_ecb_dec" not in vars(sender.keys.mac)
+    assert "_mac" not in vars(sender.keys.enc)
+
+
+def test_keys_and_their_contexts_die_with_the_key_objects():
+    rng = random.Random(18)
+    master = sc.MasterKey(rng.randbytes(16))
+    keys = sc.derive_session_keys(master, sc.new_nonce(rng), sc.new_nonce(rng))
+    challenge = bytes(range(32))
+    chal = sc.double_encrypt(master, challenge, pad=False)
+    assert sc.double_decrypt(master, chal, unpad=False) == challenge
+    sender, receiver = sc.ChannelState.for_keys(keys), sc.ChannelState.for_keys(keys)
+    assert sc.open_record(receiver, sc.seal_record(sender, b"pack 7", b"DIAG", rng)) == b"pack 7"
+    # the contexts exist now, and repr still shows no key bytes
+    assert {"aes"} <= set(vars(master)) and {"enc", "mac"} <= set(vars(keys))
+    assert repr(master) == "MasterKey(<redacted>)" and repr(keys) == "SessionKeys(<redacted>)"
+    assert master.bytes.hex() not in repr(master) and keys.k_mac.hex() not in repr(keys)
+    refs = [weakref.ref(o) for o in (master, keys, master.aes, keys.enc, keys.mac)]
+    del master, keys, sender, receiver
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
