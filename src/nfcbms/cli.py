@@ -62,8 +62,6 @@ def _read_input(path: str, what: str, parse):
     decoded is ``cannot read <what>``, text that ``parse`` rejects is
     ``bad <what>``, and both are usage errors (exit 2).
     """
-    if not path:  # Path("") is the working directory, not a missing option
-        raise UsageError(f"cannot read {what}: empty path")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

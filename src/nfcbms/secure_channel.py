@@ -53,11 +53,9 @@ _KDF_OUTLEN = b"\x00\x80"  # 128 output bits, big endian
 
 
 # One Cipher(CBC) call has a fixed setup cost of about 20 us (cryptography
-# 48, Xeon vCPU).  Below these bounds the reused ECB contexts are cheaper:
-# encryption chains in Python at about 1.1-1.5 us a block, and decryption
-# is one ECB call plus one big-int XOR at about 4 ns a byte.
+# 48, Xeon vCPU), and chaining CBC encryption in Python over the reused ECB
+# encryptor costs about 1.1-1.5 us a block: up to this bound chaining is cheaper.
 _CHAIN_MAX_BLOCKS = 16
-_XOR_MAX_BLOCKS = 128
 
 
 class _Aes:
@@ -82,16 +80,12 @@ class _Aes:
     def _mac(self) -> CMAC:
         return CMAC(self._aes)
 
-    def _cbc_once(self, iv: bytes, data: bytes, *, decrypt: bool) -> bytes:
-        cipher = Cipher(self._aes, modes.CBC(iv))
-        op = cipher.decryptor() if decrypt else cipher.encryptor()
-        return op.update(data) + op.finalize()
-
     def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
         if len(data) % BLOCK:
             raise BadLength("CBC input must be block aligned")
         if len(data) > _CHAIN_MAX_BLOCKS * BLOCK:
-            return self._cbc_once(iv, data, decrypt=False)
+            op = Cipher(self._aes, modes.CBC(iv)).encryptor()
+            return op.update(data) + op.finalize()
         encrypt, from_bytes = self._ecb_enc.update, int.from_bytes
         out = []
         prev = from_bytes(iv, "big")
@@ -104,8 +98,6 @@ class _Aes:
     def cbc_decrypt(self, iv: bytes, data: bytes) -> bytes:
         if len(data) % BLOCK:
             raise BadLength("CBC input must be block aligned")
-        if len(data) > _XOR_MAX_BLOCKS * BLOCK:
-            return self._cbc_once(iv, data, decrypt=True)
         x = int.from_bytes(self._ecb_dec.update(data), "big")
         return (x ^ int.from_bytes((iv + data)[:-BLOCK], "big")).to_bytes(len(data), "big")
 

@@ -372,16 +372,16 @@ def test_cli_rejects_a_bad_input_file(argv, content, expected, tmp_path, capsys,
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["--key-file", "", "handshake"], "error: cannot read key file: empty path"),
+        (["--key-file", "", "handshake"], "error: cannot read key file: "),
         (["handshake", "--controller-key", ""], "error: bad key material: master key must be 16 bytes"),
-        (["wakeup-sim", "--scenario", ""], "error: cannot read scenario file: empty path"),
-        (["wakeup-sim", "--model", ""], "error: cannot read model file: empty path"),
+        (["wakeup-sim", "--scenario", ""], "error: cannot read scenario file: "),
+        (["wakeup-sim", "--model", ""], "error: cannot read model file: "),
         (["wakeup-sim", "--method", "ed", "--trace-out", ""], "error: cannot write trace file: "),
         (["wakeup-sim", "--trace-out", ""], "error: --trace-out needs --method ed|eh"),
-        (["ban-verify", "--protocol", ""], "error: cannot read input file: empty path"),
-        (["ban-verify", "--goals", ""], "error: cannot read input file: empty path"),
+        (["ban-verify", "--protocol", ""], "error: cannot read input file: "),
+        (["ban-verify", "--goals", ""], "error: cannot read input file: "),
         (READOUT[:-4] + ["--reports", "", "--store", "s.ndjson"],
-         "error: cannot read reports file: empty path"),
+         "error: cannot read reports file: "),
     ],
     ids=["key-file", "controller-key", "scenario", "model", "trace-out", "trace-out-both",
          "protocol", "goals", "reports"],
