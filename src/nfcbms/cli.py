@@ -206,7 +206,6 @@ def cmd_wakeup_sim(args) -> int:
         raise UsageError("--trace-out needs --method ed|eh: the trace is of one design")
     if args.scenario is not None and args.days is not None:
         raise UsageError("give --scenario or --days, not both: the scenario file sets the duration")
-    # the model is range-checked by simulate, so its errors read "bad scenario"
     model = (
         _read_input(args.model, "model file", lambda text: wakeup.PowerModel(**json.loads(text)))
         if args.model is not None else wakeup.PowerModel()

@@ -64,7 +64,7 @@ class BpcReport:
     temperatures_dk: tuple
     status_flags: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.pack_id) != PACK_ID_LEN:
             raise RangeViolation("pack_id must be 8 bytes")
         if not 0 <= self.timestamp < 1 << 64:
@@ -92,7 +92,7 @@ class DiagPacket:
     reports: tuple
     sequence_no: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.sequence_no < 1 << 32:
             raise RangeViolation("sequence_no outside 32-bit range")
         if not self.reports:
@@ -101,40 +101,31 @@ class DiagPacket:
             raise RangeViolation(f"{len(self.reports)} reports, a packet carries at most {MAX_REPORTS}")
         if self.use_case == UseCase.IDLE_DIAG and len(self.reports) != 1:
             raise RangeViolation("idle diagnostic packets carry exactly one report")
-        for report in self.reports:
-            report.validate()
 
 
 def collect_from_bpcs(reports: list, seq: int) -> DiagPacket:
     """Aggregate per-pack reports into one active-diagnostic packet."""
-    if not reports:
-        raise EmptyInput("no reports to collect")
     seen = set()
     for r in reports:
         if r.pack_id in seen:
             raise DuplicatePackId(f"pack id {r.pack_id.hex()} appears twice")
         seen.add(r.pack_id)
-    packet = DiagPacket(
+    return DiagPacket(
         use_case=UseCase.ACTIVE_DIAG,
         origin=Origin.BMS_CONTROLLER,
         reports=tuple(reports),
         sequence_no=seq,
     )
-    packet.validate()
-    return packet
 
 
 def idle_packet(report: BpcReport, seq: int) -> DiagPacket:
     """Single stored-pack readout packet."""
-    packet = DiagPacket(
+    return DiagPacket(
         use_case=UseCase.IDLE_DIAG, origin=Origin.BPC, reports=(report,), sequence_no=seq
     )
-    packet.validate()
-    return packet
 
 
 def encode_diag(packet: DiagPacket) -> bytes:
-    packet.validate()
     out = bytearray(
         struct.pack(
             ">BBIH",
@@ -200,9 +191,7 @@ def decode_diag(raw: bytes) -> DiagPacket:
         )
     if pos != len(raw):
         raise Truncated("unexpected trailing bytes")
-    packet = DiagPacket(use_case=use_case, origin=origin, reports=tuple(reports), sequence_no=seq)
-    packet.validate()
-    return packet
+    return DiagPacket(use_case=use_case, origin=origin, reports=tuple(reports), sequence_no=seq)
 
 
 # --- JSON views (CLI reports and the passport store) ---
@@ -220,18 +209,29 @@ def report_to_json(r: BpcReport) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple:
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a list of integers, not {type(value).__name__}")
+    return tuple(json_int(v, f"{what} entry") for v in value)
+
+
 def report_from_json(obj: dict) -> BpcReport:
-    report = BpcReport(
+    return BpcReport(
         pack_id=bytes.fromhex(obj["pack_id"]),
-        timestamp=int(obj["timestamp"]),
-        soc_permille=int(obj["soc_permille"]),
-        soh_permille=int(obj["soh_permille"]),
-        cell_voltages_mv=tuple(int(v) for v in obj["cell_voltages_mv"]),
-        temperatures_dk=tuple(int(t) for t in obj["temperatures_dk"]),
-        status_flags=int(obj.get("status_flags", 0)),
+        timestamp=json_int(obj["timestamp"], "timestamp"),
+        soc_permille=json_int(obj["soc_permille"], "soc_permille"),
+        soh_permille=json_int(obj["soh_permille"], "soh_permille"),
+        cell_voltages_mv=_json_ints(obj["cell_voltages_mv"], "cell_voltages_mv"),
+        temperatures_dk=_json_ints(obj["temperatures_dk"], "temperatures_dk"),
+        status_flags=json_int(obj.get("status_flags", 0), "status_flags"),
     )
-    report.validate()
-    return report
 
 
 def packet_to_json(p: DiagPacket) -> dict:
@@ -244,14 +244,12 @@ def packet_to_json(p: DiagPacket) -> dict:
 
 
 def packet_from_json(obj: dict) -> DiagPacket:
-    packet = DiagPacket(
+    return DiagPacket(
         use_case=UseCase[obj["use_case"]],
         origin=Origin[obj["origin"]],
         reports=tuple(report_from_json(r) for r in obj["reports"]),
-        sequence_no=int(obj["sequence_no"]),
+        sequence_no=json_int(obj["sequence_no"], "sequence_no"),
     )
-    packet.validate()
-    return packet
 
 
 # --- topology planning ---

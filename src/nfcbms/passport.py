@@ -17,8 +17,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diagnostics import DiagPacket, packet_from_json, packet_to_json
-from .errors import StoreError
+from .diagnostics import DiagPacket, json_int, packet_from_json, packet_to_json
+from .errors import NfcBmsError, StoreError
 
 ENV_STORE_PATH = "BMS_STORE_PATH"
 
@@ -44,7 +44,7 @@ class PassportEntry:
     def from_json(cls, obj: dict) -> "PassportEntry":
         return cls(
             pack_id=bytes.fromhex(obj["pack_id"]),
-            received_at=int(obj["received_at"]),
+            received_at=json_int(obj["received_at"], "received_at"),
             diag=packet_from_json(obj["diag"]),
             session_id=obj["session_id"],
             source=obj["source"],
@@ -87,7 +87,7 @@ class PassportStore:
                 continue
             try:
                 out.append(PassportEntry.from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: corrupt entry: {exc}") from exc
         return out
 

@@ -25,7 +25,7 @@ from .secure_channel import SecureRecord
 
 RECORD_HEADER_LEN = 6
 SECURE_FIXED_LEN = 34  # iv + tag + add_len
-DEFAULT_MAX_MESSAGE = 8192  # models a small tag memory
+MAX_MESSAGE = 8192  # models a small tag memory
 
 FLAG_MB = 0x80
 FLAG_ME = 0x40
@@ -64,10 +64,10 @@ class NdefMessage:
         ]
 
 
-def encode_message(msg: NdefMessage, *, max_bytes: int = DEFAULT_MAX_MESSAGE) -> bytes:
+def encode_message(msg: NdefMessage) -> bytes:
     total = sum(RECORD_HEADER_LEN + len(r.payload) for r in msg.records)
-    if total > max_bytes:
-        raise OversizeMessage(f"encoded message is {total} bytes, cap is {max_bytes}")
+    if total > MAX_MESSAGE:
+        raise OversizeMessage(f"encoded message is {total} bytes, cap is {MAX_MESSAGE}")
     out = bytearray()
     for rec in msg.records:
         out += struct.pack(">BBI", int(rec.type_code), rec.flags, len(rec.payload))

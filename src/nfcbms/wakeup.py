@@ -21,7 +21,7 @@ flagged as such in the config schema.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from numbers import Real
 
@@ -47,22 +47,14 @@ class PowerModel:
     ed_wakeup_latency_ms: float = 5.0  # artifact default, not a measured figure
     eh_wakeup_latency_ms: float = 50.0  # artifact default, not a measured figure
 
-    def validate(self) -> None:
-        for name in (
-            "supply_voltage_v",
-            "bpc_vlps_current_ua",
-            "bpc_active_current_ma",
-            "ntag_standby_current_ua",
-            "ntag_active_current_ma",
-            "ed_wakeup_latency_ms",
-            "eh_wakeup_latency_ms",
-        ):
-            value = getattr(self, name)
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
             # NaN, infinities and integers beyond the float range all fail the comparison
             if not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
-                raise RangeViolation(f"{name} must be a finite number, got {value!r}")
+                raise RangeViolation(f"{f.name} must be a finite number, got {value!r}")
             if value <= 0:
-                raise RangeViolation(f"{name} must be strictly positive")
+                raise RangeViolation(f"{f.name} must be strictly positive")
         if self.eh_wakeup_latency_ms < self.ed_wakeup_latency_ms:
             raise RangeViolation("harvesting wake-up cannot be faster than the event pin")
         # every derived level must fit 64 bits; each raises RangeViolation if not
@@ -107,7 +99,6 @@ class PowerModel:
 
 def idle_power(model: PowerModel, method: Method) -> float:
     """Idle-state power draw in microwatts."""
-    model.validate()
     return model.idle_nw(method) / 1000
 
 
@@ -186,7 +177,6 @@ def _whole_us(value: float, unit_us: int, what: str) -> int:
 
 def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> WakeupTrace:
     """Run one storage period and integrate the power profile exactly."""
-    model.validate()
     duration_us = _whole_us(scenario.duration_days, US_PER_DAY, "duration_days")
     if duration_us <= 0:
         raise RangeViolation("duration must be at least one microsecond")

@@ -194,3 +194,38 @@ def test_cli_ends_every_invocation_in_a_documented_exit_code(invocation):
     assert "Traceback" not in stderr
     if parsed and code in (cli.EXIT_USAGE, cli.EXIT_STORE):
         assert stderr.count("\n") == 1 and stderr.endswith("\n"), stderr
+
+
+def _store_line(report_field: str, value) -> str:
+    """One stored idle readout of pack 01..01, with ``value`` in one report field."""
+    entry = {
+        "pack_id": "01" * 8,
+        "received_at": 1_700_000_001,
+        "session_id": "s1",
+        "source": "IDLE_DIAG",
+        "diag": {
+            "use_case": "IDLE_DIAG",
+            "origin": "BPC",
+            "sequence_no": 0,
+            "reports": [dict(_report(1), **{report_field: value})],
+        },
+    }
+    return json.dumps(entry) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(tuple(_report(1))),
+    json_values | st.sampled_from(["4100", "500", 900.9, True, 5000, [4100], "01 " * 8]),
+)
+def test_history_reads_any_stored_report_value_as_data_or_corruption(field, value):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "s.ndjson"
+        store.write_text(_store_line(field, value), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["history", "01" * 8, "--store", str(store)])
+    assert code in (cli.EXIT_OK, cli.EXIT_STORE), err.getvalue()
+    if code == cli.EXIT_STORE:
+        assert err.getvalue().startswith(f"store error: {store}:1: corrupt entry: ")
+        assert err.getvalue().count("\n") == 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+from itertools import cycle, islice
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nfcbms import diagnostics as dg
 from nfcbms.errors import DuplicatePackId, EmptyInput, RangeViolation, Truncated
@@ -52,19 +55,17 @@ def test_collect_single_report_is_valid():
 def test_idle_packet_carries_exactly_one_report():
     packet = dg.idle_packet(make_report(1), seq=3)
     assert packet.use_case == dg.UseCase.IDLE_DIAG
-    bad = dg.DiagPacket(
-        use_case=dg.UseCase.IDLE_DIAG,
-        origin=dg.Origin.BPC,
-        reports=(make_report(1), make_report(2)),
-        sequence_no=0,
-    )
     with pytest.raises(RangeViolation):
-        bad.validate()
+        dg.DiagPacket(
+            use_case=dg.UseCase.IDLE_DIAG,
+            origin=dg.Origin.BPC,
+            reports=(make_report(1), make_report(2)),
+            sequence_no=0,
+        )
 
 
 def test_packet_carries_at_most_65535_reports():
-    # report_count is two bytes; the count is checked first, so the invalid
-    # last report (no cells) is never reached
+    # report_count is two bytes
     def packet(reports):
         return dg.DiagPacket(
             use_case=dg.UseCase.ACTIVE_DIAG,
@@ -74,12 +75,9 @@ def test_packet_carries_at_most_65535_reports():
         )
 
     report = make_report(1)
-    packet([report] * dg.MAX_REPORTS).validate()
-    too_many = packet([report] * dg.MAX_REPORTS + [make_report(2, cells=0)])
+    packet([report] * dg.MAX_REPORTS)
     with pytest.raises(RangeViolation, match="at most 65535"):
-        too_many.validate()
-    with pytest.raises(RangeViolation, match="at most 65535"):
-        dg.encode_diag(too_many)
+        packet([report] * (dg.MAX_REPORTS + 1))
 
 
 # --- codec ---
@@ -145,17 +143,101 @@ def test_roundtrip_random_packets(reports, seq):
 
 
 def test_soc_out_of_range_rejected():
-    report = dg.BpcReport(
-        pack_id=bytes(8),
-        timestamp=0,
-        soc_permille=1001,
-        soh_permille=0,
-        cell_voltages_mv=(3700,),
-        temperatures_dk=(),
-    )
-    packet = dg.DiagPacket(dg.UseCase.ACTIVE_DIAG, dg.Origin.BPC, (report,), 0)
     with pytest.raises(RangeViolation):
-        dg.encode_diag(packet)
+        dg.BpcReport(
+            pack_id=bytes(8),
+            timestamp=0,
+            soc_permille=1001,
+            soh_permille=0,
+            cell_voltages_mv=(3700,),
+            temperatures_dk=(),
+        )
+
+
+# --- construction checks every field once ---
+
+
+def around(lo: int, hi: int):
+    """Integers at and just past both bounds of ``lo..hi``."""
+    return st.sampled_from([lo - 1, lo, hi, hi + 1])
+
+
+def inside(lo: int, hi: int):
+    """Integers at both bounds of ``lo..hi``, and anywhere between."""
+    return st.sampled_from([lo, hi]) | st.integers(lo, hi)
+
+
+def report_fields(ints) -> dict:
+    """A strategy per BpcReport field; ``ints(lo, hi)`` draws every integer,
+    length included, for its documented range ``lo..hi``."""
+
+    def sized(lo, hi, element):
+        # a few drawn values repeated to the drawn length keep long tuples cheap
+        return st.tuples(ints(lo, hi), st.lists(element, min_size=1, max_size=4)).map(
+            lambda t: tuple(islice(cycle(t[1]), max(t[0], 0)))
+        )
+
+    return {
+        "pack_id": ints(8, 8).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+        "timestamp": ints(0, (1 << 64) - 1),
+        "soc_permille": ints(0, 1000),
+        "soh_permille": ints(0, 1000),
+        "cell_voltages_mv": sized(1, 32, ints(0, 5000)),
+        "temperatures_dk": sized(0, 255, ints(-(1 << 15), (1 << 15) - 1)),
+        "status_flags": ints(0, 0xFFFF),
+    }
+
+
+def in_documented_range(f: dict) -> bool:
+    return (
+        len(f["pack_id"]) == 8
+        and 0 <= f["timestamp"] <= (1 << 64) - 1
+        and 0 <= f["soc_permille"] <= 1000
+        and 0 <= f["soh_permille"] <= 1000
+        and 1 <= len(f["cell_voltages_mv"]) <= 32
+        and all(0 <= v <= 5000 for v in f["cell_voltages_mv"])
+        and len(f["temperatures_dk"]) <= 255
+        and all(-(1 << 15) <= t <= (1 << 15) - 1 for t in f["temperatures_dk"])
+        and 0 <= f["status_flags"] <= 0xFFFF
+    )
+
+
+valid_reports = st.fixed_dictionaries(report_fields(inside)).map(lambda f: dg.BpcReport(**f))
+
+
+@pytest.mark.parametrize("edge", sorted(report_fields(around)))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_report_builds_iff_every_field_is_in_range(edge, data):
+    # one field drawn at or just past its bounds, the others anywhere in range
+    strategies = dict(report_fields(inside), **{edge: report_fields(around)[edge]})
+    fields = data.draw(st.fixed_dictionaries(strategies))
+    if in_documented_range(fields):
+        dg.BpcReport(**fields)
+    else:
+        with pytest.raises(RangeViolation):
+            dg.BpcReport(**fields)
+
+
+@given(
+    st.sampled_from(dg.UseCase),
+    st.sampled_from(dg.Origin),
+    st.lists(valid_reports, max_size=3),
+    around(0, (1 << 32) - 1),
+)
+def test_packet_builds_iff_in_range_and_round_trips(use_case, origin, reports, seq):
+    in_range = (
+        0 <= seq <= (1 << 32) - 1
+        and len(reports) >= 1
+        and (use_case != dg.UseCase.IDLE_DIAG or len(reports) == 1)
+    )
+    if not in_range:
+        with pytest.raises((RangeViolation, EmptyInput)):
+            dg.DiagPacket(use_case, origin, tuple(reports), seq)
+        return
+    packet = dg.DiagPacket(use_case, origin, tuple(reports), seq)
+    assert dg.decode_diag(dg.encode_diag(packet)) == packet
+    assert dg.packet_from_json(json.loads(json.dumps(dg.packet_to_json(packet)))) == packet
 
 
 def test_decode_truncated():

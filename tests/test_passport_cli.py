@@ -279,6 +279,28 @@ def test_cli_history_corrupt_store_exit3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "where, key, value, detail",
+    [
+        ("report", "soc_permille", 5000, "soc_permille 5000 > 1000"),
+        ("report", "cell_voltages_mv", "4100", "cell_voltages_mv must be a list of integers, not str"),
+        ("report", "soh_permille", 900.9, "soh_permille must be an integer, not float"),
+        ("diag", "sequence_no", True, "sequence_no must be an integer, not bool"),
+        ("entry", "received_at", "100", "received_at must be an integer, not str"),
+    ],
+    ids=["soc-out-of-range", "cells-string", "soh-float", "sequence-bool", "received-at-string"],
+)
+def test_cli_history_out_of_range_or_mistyped_store_value_exit3(where, key, value, detail, tmp_path, capsys):
+    line = make_entry(1, 100).to_json()
+    target = {"entry": line, "diag": line["diag"], "report": line["diag"]["reports"][0]}[where]
+    target[key] = value
+    store = tmp_path / "s.ndjson"
+    store.write_text(json.dumps(line) + "\n")
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err == f"store error: {store}:1: corrupt entry: {detail}\n"
+
+
 TORN = '{"diag": {"origin": 1, "reports": [{"cell_vol'  # an append cut short
 
 
@@ -335,6 +357,11 @@ READOUT = ["--key", KEY_HEX, "readout", "--mode", "active", "--reports", "f", "-
 REPORT_OVERFLOW = json.dumps([report_dict(1)]).replace('"timestamp": 1700000001', '"timestamp": 1e400')
 
 
+def one_report(**fields) -> str:
+    """A reports file of one report, with ``fields`` replaced."""
+    return json.dumps([dict(report_dict(1), **fields)])
+
+
 @pytest.mark.parametrize(
     "argv, content, expected",
     [
@@ -345,7 +372,17 @@ REPORT_OVERFLOW = json.dumps([report_dict(1)]).replace('"timestamp": 1700000001'
          "error: bad model file: maximum recursion depth exceeded"),
         (READOUT, json.dumps([report_dict(1), report_dict(1)]),
          "error: bad reports file: pack id 0101010101010101 appears twice"),
-        (READOUT, REPORT_OVERFLOW, "error: bad reports file: cannot convert float infinity"),
+        (READOUT, REPORT_OVERFLOW, "error: bad reports file: timestamp must be an integer, not float"),
+        (READOUT, one_report(cell_voltages_mv="4100"),
+         "error: bad reports file: cell_voltages_mv must be a list of integers, not str"),
+        (READOUT, one_report(temperatures_dk=[2930.0]),
+         "error: bad reports file: temperatures_dk entry must be an integer, not float"),
+        (READOUT, one_report(soh_permille=900.9),
+         "error: bad reports file: soh_permille must be an integer, not float"),
+        (READOUT, one_report(soc_permille="500"),
+         "error: bad reports file: soc_permille must be an integer, not str"),
+        (READOUT, one_report(status_flags=True),
+         "error: bad reports file: status_flags must be an integer, not bool"),
         (["wakeup-sim", "--scenario", "f"], '{"duration_days": 1' + "0" * 400 + "}",
          "error: bad scenario file: int too large to convert to float"),
         (READOUT, b"[\xff]", "error: cannot read reports file: 'utf-8' codec"),
@@ -355,7 +392,8 @@ REPORT_OVERFLOW = json.dumps([report_dict(1)]).replace('"timestamp": 1700000001'
          "error: cannot read model file: 'utf-8' codec"),
     ],
     ids=["reports-deep", "scenario-deep", "model-deep", "reports-duplicate-pack",
-         "reports-infinite-timestamp", "scenario-huge-int",
+         "reports-infinite-timestamp", "reports-string-cells", "reports-float-temperature",
+         "reports-float-soh", "reports-string-soc", "reports-bool-flags", "scenario-huge-int",
          "reports-not-utf8", "scenario-not-utf8", "model-not-utf8"],
 )
 def test_cli_rejects_a_bad_input_file(argv, content, expected, tmp_path, capsys, monkeypatch):
@@ -478,29 +516,34 @@ def test_cli_wakeup_sim_scenario_with_days_is_usage_error(tmp_path, capsys):
     assert run_cli(["wakeup-sim"], capsys) == run_cli(["wakeup-sim", "--days", "1"], capsys)
 
 
+BAD_SCENARIO = "error: bad scenario: "
+BAD_MODEL = "error: bad model file: "  # a power model is range-checked when the file is read
+
+
 @pytest.mark.parametrize(
-    "argv, files",
+    "argv, files, expected",
     [
-        (["--days", "nan"], {}),
-        (["--days", "inf"], {}),
-        (["--days", "1e300"], {}),
-        (["--days", "1e-12"], {}),
+        (["--days", "nan"], {}, BAD_SCENARIO),
+        (["--days", "inf"], {}, BAD_SCENARIO),
+        (["--days", "1e300"], {}, BAD_SCENARIO),
+        (["--days", "1e-12"], {}, BAD_SCENARIO),
         (["--scenario", "s.json"],
-         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": NaN, "length_s": 60}]}'}),
-        (["--scenario", "s.json"], {"s.json": '{"duration_days": "inf"}'}),
-        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": "x"}'}),
-        (["--model", "m.json"], {"m.json": '{"bpc_active_current_ma": 1e306}'}),
-        (["--model", "m.json"], {"m.json": '{"ntag_standby_current_ua": 1e16}'}),
+         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": NaN, "length_s": 60}]}'},
+         BAD_SCENARIO),
+        (["--scenario", "s.json"], {"s.json": '{"duration_days": "inf"}'}, BAD_SCENARIO),
+        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": "x"}'}, BAD_MODEL),
+        (["--model", "m.json"], {"m.json": '{"bpc_active_current_ma": 1e306}'}, BAD_MODEL),
+        (["--model", "m.json"], {"m.json": '{"ntag_standby_current_ua": 1e16}'}, BAD_MODEL),
         (["--model", "m.json"],
-         {"m.json": '{"ed_wakeup_latency_ms": 1e306, "eh_wakeup_latency_ms": 1e306}'}),
-        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": 1' + "0" * 400 + "}"}),
+         {"m.json": '{"ed_wakeup_latency_ms": 1e306, "eh_wakeup_latency_ms": 1e306}'}, BAD_MODEL),
+        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": 1' + "0" * 400 + "}"}, BAD_MODEL),
     ],
     ids=["days-nan", "days-inf", "days-1e300", "days-1e-12",
          "start-nan", "duration-inf", "model-not-a-number",
          "model-huge-current", "model-power-past-64-bits", "model-huge-latency",
          "model-int-past-float-range"],
 )
-def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, tmp_path, capsys, monkeypatch):
+def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -508,7 +551,7 @@ def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: bad scenario: ")
+    assert captured.err.startswith(expected)
     assert captured.err.count("\n") == 1
 
 

@@ -33,8 +33,6 @@ def test_oversize_message_rejected():
     big = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.DIAG_PLAIN, bytes(9000))])
     with pytest.raises(OversizeMessage):
         sndef.encode_message(big)
-    # configurable cap
-    assert sndef.encode_message(big, max_bytes=10000)
 
 
 def test_empty_message_rejected():
