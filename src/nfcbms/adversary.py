@@ -354,9 +354,9 @@ def run_chosen_challenge(
                     lambda: controller.controller_key_confirm(forged)) is not None:
             outcome.established_controller = True  # would be an attack success
     for probe, response in strategy.responses:
-        plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
+        plain = hs.challenge_plain(controller_cfg.principal_id, sc.Nonce(probe))
         single = controller_cfg.master.aes.cbc_encrypt(bytes(16), plain)
-        double = sc.double_encrypt(controller_cfg.master, plain, pad=False)
+        double = sc.double_encrypt(controller_cfg.master, plain)
         if response == single or response != double:
             outcome.secrecy_hits.append("single-pass-oracle:" + probe.hex())
     return outcome

@@ -25,10 +25,6 @@ class KeyDerivationError(NfcBmsError):
     """Session key derivation produced unusable keys."""
 
 
-class ChannelNotEstablished(NfcBmsError):
-    """Seal/open attempted before session keys exist."""
-
-
 class TagMismatch(NfcBmsError):
     """Chained CMAC verification failed: tamper, replay, or reordering."""
 

@@ -41,7 +41,6 @@ from .errors import (
 from .sndef import decode_secure_payload, encode_secure_payload
 
 ID_LEN = 4
-CHALLENGE_LEN = 32  # id + nonce, zero-extended to two blocks
 FRAME_HEADER_LEN = 7
 
 BODY_LEN = {1: 16, 2: 48, 3: 32}  # m4/m5 bodies are variable length
@@ -96,10 +95,9 @@ def parse_frame(raw: bytes, *, expect_no: int, expect_sender: bytes) -> Handshak
     return HandshakeMessage(msg_no, sender_id, body)
 
 
-def _challenge_plain(principal_id: bytes, nonce: sc.Nonce) -> bytes:
-    # id | nonce, zero-extended to exactly two blocks so the unpadded
-    # double transform is length stable in both directions
-    return (principal_id + nonce.bytes).ljust(CHALLENGE_LEN, b"\x00")
+def challenge_plain(principal_id: bytes, nonce: sc.Nonce) -> bytes:
+    """``id | nonce``, zero-extended to the two blocks the double transforms take."""
+    return (principal_id + nonce.bytes).ljust(sc.CHALLENGE_LEN, b"\x00")
 
 
 @dataclass
@@ -183,9 +181,7 @@ class HandshakeState:
             self.ch_t = sc.new_nonce(self.rng)
             if self.ch_t.bytes != self.ch_r.bytes:
                 break
-        chal = sc.double_encrypt(
-            self.master, _challenge_plain(self.self_id, self.ch_r), pad=False
-        )
+        chal = sc.double_encrypt(self.master, challenge_plain(self.self_id, self.ch_r))
         self.phase = Phase.CHALLENGED
         return self._emit(2, self.ch_t.bytes + chal)
 
@@ -195,8 +191,8 @@ class HandshakeState:
         self._require(Role.READER, Phase.CHALLENGED)
         msg = self._receive(msg2, 2)
         ch_t_raw, chal = msg.body[:16], msg.body[16:]
-        expected = _challenge_plain(self.peer_id, self.ch_r)
-        if sc.double_decrypt(self.master, chal, unpad=False) != expected:
+        expected = challenge_plain(self.peer_id, self.ch_r)
+        if sc.double_decrypt(self.master, chal) != expected:
             raise self._fail(AuthFailure("controller challenge response does not verify"))
         try:
             self.ch_t = sc.Nonce(ch_t_raw)
@@ -204,9 +200,7 @@ class HandshakeState:
             raise self._fail(exc)
         if self.ch_t.bytes == self.ch_r.bytes:
             raise self._fail(InvalidNonce("peer challenge equals our challenge"))
-        answer = sc.double_decrypt(
-            self.master, _challenge_plain(self.self_id, self.ch_t), unpad=False
-        )
+        answer = sc.double_decrypt(self.master, challenge_plain(self.self_id, self.ch_t))
         self.channel = sc.ChannelState.for_keys(
             sc.derive_session_keys(self.master, self.ch_r, self.ch_t)
         )
@@ -242,8 +236,8 @@ class HandshakeState:
             raise AuthFailure("malformed challenge answer") from exc
         # encrypt-direction check of a decrypt-direction value: a value we
         # produced ourselves (or any reflected ciphertext) can never pass
-        expected = _challenge_plain(self.peer_id, self.ch_t)
-        if sc.double_encrypt(self.master, msg.body, pad=False) != expected:
+        expected = challenge_plain(self.peer_id, self.ch_t)
+        if sc.double_encrypt(self.master, msg.body) != expected:
             raise self._fail(AuthFailure("reader challenge answer does not verify"))
         self.channel = sc.ChannelState.for_keys(
             sc.derive_session_keys(self.master, self.ch_r, self.ch_t)

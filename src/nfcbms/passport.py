@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import DiagPacket, json_int, packet_from_json, packet_to_json
-from .errors import NfcBmsError, StoreError
+from .errors import NfcBmsError, RangeViolation, StoreError
 
 ENV_STORE_PATH = "BMS_STORE_PATH"
 
@@ -30,6 +30,16 @@ class PassportEntry:
     diag: DiagPacket
     session_id: str
     source: str  # IDLE_DIAG or ACTIVE_DIAG
+
+    def __post_init__(self) -> None:
+        if self.pack_id not in [r.pack_id for r in self.diag.reports]:
+            raise RangeViolation("entry pack_id must be the pack id of one of its reports")
+        if not 0 <= json_int(self.received_at, "received_at") < 1 << 64:
+            raise RangeViolation("received_at outside [0, 2**64)")
+        if type(self.session_id) is not str:
+            raise RangeViolation("session_id must be a string")
+        if self.source != self.diag.use_case.name:
+            raise RangeViolation(f"source must be the packet's use case {self.diag.use_case.name}")
 
     def to_json(self) -> dict:
         return {
@@ -44,7 +54,7 @@ class PassportEntry:
     def from_json(cls, obj: dict) -> "PassportEntry":
         return cls(
             pack_id=bytes.fromhex(obj["pack_id"]),
-            received_at=json_int(obj["received_at"], "received_at"),
+            received_at=obj["received_at"],
             diag=packet_from_json(obj["diag"]),
             session_id=obj["session_id"],
             source=obj["source"],
@@ -94,14 +104,10 @@ class PassportStore:
     def history(self, pack_id: bytes) -> list[PassportEntry]:
         """Entries covering one pack, time-ordered (stable for equal stamps).
 
-        Aggregated readouts count: an entry matches if it is keyed by
-        the pack or any of its reports came from the pack.
+        Aggregated readouts count: an entry matches if any of its
+        reports came from the pack (its own key is one of them).
         """
-        matching = [
-            e
-            for e in self.entries()
-            if e.pack_id == pack_id or any(r.pack_id == pack_id for r in e.diag.reports)
-        ]
+        matching = [e for e in self.entries() if pack_id in [r.pack_id for r in e.diag.reports]]
         return sorted(matching, key=lambda e: e.received_at)
 
 

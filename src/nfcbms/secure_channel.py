@@ -33,7 +33,6 @@ from cryptography.hazmat.primitives.cmac import CMAC
 
 from .errors import (
     BadLength,
-    ChannelNotEstablished,
     InvalidNonce,
     KeyDerivationError,
     PaddingError,
@@ -44,6 +43,7 @@ BLOCK = 16
 KEY_LEN = 16
 NONCE_LEN = 16
 TAG_LEN = 16
+CHALLENGE_LEN = 2 * BLOCK  # input of the double transforms
 CHAIN_SENTINEL = bytes(TAG_LEN)
 
 _ZERO_IV = bytes(BLOCK)
@@ -207,11 +207,9 @@ class SecureRecord:
 class ChannelState:
     """Per-endpoint channel state; the two chain directions are independent."""
 
-    keys: SessionKeys | None = None
+    keys: SessionKeys
     last_tag_sent: bytes = CHAIN_SENTINEL
     last_tag_received: bytes = CHAIN_SENTINEL
-    records_sealed: int = 0
-    records_opened: int = 0
 
     @classmethod
     def for_keys(cls, keys: SessionKeys) -> "ChannelState":
@@ -233,61 +231,40 @@ def derive_session_keys(master: MasterKey, ch_r: Nonce, ch_t: Nonce) -> SessionK
     return SessionKeys(k_enc=k_enc, k_mac=k_mac)
 
 
-def double_encrypt(key: MasterKey, payload: bytes, *, pad: bool = True) -> bytes:
-    """Encrypt twice under AES-128-CBC with an all-zero IV.
+def double_encrypt(key: MasterKey, block2: bytes) -> bytes:
+    """Encrypt two blocks twice under AES-128-CBC with an all-zero IV.
 
-    With ``pad=True`` (default) the payload is PKCS#7 padded first.  The
-    handshake challenge transform passes ``pad=False`` and supplies an
-    exact two-block payload, keeping the transform length stable so it
-    can be inverted from either direction.
+    The controller-side challenge transform.  There is no padding: the
+    input is exactly two blocks, so the transform is length stable and
+    :func:`double_decrypt` inverts it.
     """
-    if not payload:
-        raise BadLength("payload must be non-empty")
-    data = pkcs7_pad(payload) if pad else payload
-    if len(data) % BLOCK:
-        raise BadLength("unpadded payload must be block aligned")
-    return key.aes.cbc_encrypt(_ZERO_IV, key.aes.cbc_encrypt(_ZERO_IV, data))
+    if len(block2) != CHALLENGE_LEN:
+        raise BadLength(f"challenge transform input must be {CHALLENGE_LEN} bytes")
+    return key.aes.cbc_encrypt(_ZERO_IV, key.aes.cbc_encrypt(_ZERO_IV, block2))
 
 
-def double_decrypt(key: MasterKey, payload: bytes, *, unpad: bool = True) -> bytes:
-    """Decrypt twice under AES-128-CBC with an all-zero IV.
+def double_decrypt(key: MasterKey, block2: bytes) -> bytes:
+    """Decrypt two blocks twice under AES-128-CBC with an all-zero IV.
 
-    Inverse of :func:`double_encrypt`.  With ``unpad=False`` the raw
-    two-pass decryption is returned; that is the reader-side challenge
-    transform, where the input is not a padded ciphertext at all.
+    The reader-side challenge transform, and the inverse of
+    :func:`double_encrypt`; the input is not a padded ciphertext.
     """
-    if not payload or len(payload) % BLOCK:
-        raise BadLength("payload must be a positive multiple of 16 bytes")
-    twice = key.aes.cbc_decrypt(_ZERO_IV, key.aes.cbc_decrypt(_ZERO_IV, payload))
-    return pkcs7_unpad(twice) if unpad else twice
+    if len(block2) != CHALLENGE_LEN:
+        raise BadLength(f"challenge transform input must be {CHALLENGE_LEN} bytes")
+    return key.aes.cbc_decrypt(_ZERO_IV, key.aes.cbc_decrypt(_ZERO_IV, block2))
 
 
 def _chained_tag(mac: _Aes, sec_data: bytes, iv: bytes, add_data: bytes, previous_tag: bytes) -> bytes:
-    if len(iv) != BLOCK or len(previous_tag) != TAG_LEN:
-        raise BadLength("iv and previous_tag must be 16 bytes")
-    return mac.cmac(sec_data + iv + add_data + previous_tag)
-
-
-def compute_chained_tag(
-    k_mac: bytes,
-    sec_data: bytes,
-    iv: bytes,
-    add_data: bytes,
-    previous_tag: bytes,
-) -> bytes:
     """CMAC over ``sec_data | IV | add_data | previous_tag``."""
-    return _chained_tag(_Aes(k_mac), sec_data, iv, add_data, previous_tag)
+    return mac.cmac(sec_data + iv + add_data + previous_tag)
 
 
 def seal_record(state: ChannelState, plaintext: bytes, add_data: bytes, rng) -> SecureRecord:
     """Encrypt-then-MAC one record and advance the send chain."""
-    if state.keys is None:
-        raise ChannelNotEstablished("no session keys")
     iv = rng.randbytes(BLOCK)
     sec_data = state.keys.enc.cbc_encrypt(iv, pkcs7_pad(plaintext))
     tag = _chained_tag(state.keys.mac, sec_data, iv, add_data, state.last_tag_sent)
     state.last_tag_sent = tag
-    state.records_sealed += 1
     return SecureRecord(iv=iv, sec_data=sec_data, add_data=add_data, tag=tag)
 
 
@@ -298,8 +275,6 @@ def open_record(state: ChannelState, record: SecureRecord) -> bytes:
     so a replayed or out-of-order record fails even though its tag was
     once valid.
     """
-    if state.keys is None:
-        raise ChannelNotEstablished("no session keys")
     expected = _chained_tag(
         state.keys.mac, record.sec_data, record.iv, record.add_data, state.last_tag_received
     )
@@ -307,5 +282,4 @@ def open_record(state: ChannelState, record: SecureRecord) -> bytes:
         raise TagMismatch("record tag does not verify at this chain position")
     plaintext = pkcs7_unpad(state.keys.enc.cbc_decrypt(record.iv, record.sec_data))
     state.last_tag_received = record.tag
-    state.records_opened += 1
     return plaintext

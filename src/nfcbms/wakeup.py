@@ -50,8 +50,9 @@ class PowerModel:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # NaN, infinities and integers beyond the float range all fail the comparison
-            if not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
+            # NaN, infinities and integers beyond the float range all fail the comparison;
+            # a bool is a Real, but not a number a model file may give
+            if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
                 raise RangeViolation(f"{f.name} must be a finite number, got {value!r}")
             if value <= 0:
                 raise RangeViolation(f"{f.name} must be strictly positive")
@@ -116,12 +117,19 @@ class StorageScenario:
     @classmethod
     def from_json(cls, obj: dict) -> "StorageScenario":
         return cls(
-            duration_days=float(obj["duration_days"]),
+            duration_days=_json_number(obj["duration_days"], "duration_days"),
             readouts=tuple(
-                Readout(float(r["start_s"]), float(r["length_s"]))
+                Readout(_json_number(r["start_s"], "start_s"), _json_number(r["length_s"], "length_s"))
                 for r in obj.get("readouts", ())
             ),
         )
+
+
+def _json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; a string, bool or null raises TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+    return float(value)
 
 
 @dataclass(frozen=True)

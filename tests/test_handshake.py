@@ -84,7 +84,7 @@ def test_message2_encrypted_field_double_decrypts_to_id_and_nonce():
     m1 = reader.reader_start()
     m2 = controller.controller_respond(m1.to_bytes())
     chal = m2.body[16:]
-    plain = sc.double_decrypt(KEY, chal, unpad=False)
+    plain = sc.double_decrypt(KEY, chal)
     assert plain == (CONTROLLER_ID + m1.body).ljust(32, b"\x00")
 
 
@@ -132,7 +132,7 @@ def test_equal_challenges_rejected():
     reader, _ = endpoints(5)
     m1 = reader.reader_start()
     ch_r = m1.body
-    chal = sc.double_encrypt(KEY, (CONTROLLER_ID + ch_r).ljust(32, b"\x00"), pad=False)
+    chal = sc.double_encrypt(KEY, (CONTROLLER_ID + ch_r).ljust(32, b"\x00"))
     forged_m2 = hs.HandshakeMessage(2, CONTROLLER_ID, ch_r + chal).to_bytes()
     with pytest.raises(InvalidNonce):
         reader.reader_answer(forged_m2)
@@ -143,7 +143,7 @@ def test_message3_double_encrypts_back_to_reader_challenge():
     m1 = reader.reader_start()
     m2 = controller.controller_respond(m1.to_bytes())
     m3 = reader.reader_answer(m2.to_bytes())
-    plain = sc.double_encrypt(KEY, m3.body, pad=False)
+    plain = sc.double_encrypt(KEY, m3.body)
     assert plain == (READER_ID + m2.body[:16]).ljust(32, b"\x00")
 
 
@@ -304,9 +304,7 @@ def test_wrong_keys_never_pass_challenged_either_role():
         with pytest.raises(AuthFailure):
             reader.reader_answer(m2.to_bytes())  # reader itself cannot verify
         # even a reader that blindly answers anyway is caught
-        forged_answer = sc.double_decrypt(
-            wrong, (READER_ID + m2.body[:16]).ljust(32, b"\x00"), unpad=False
-        )
+        forged_answer = sc.double_decrypt(wrong, (READER_ID + m2.body[:16]).ljust(32, b"\x00"))
         forged = hs.HandshakeMessage(3, READER_ID, forged_answer).to_bytes()
         with pytest.raises(AuthFailure):
             controller.controller_key_confirm(forged)

@@ -287,8 +287,17 @@ def test_cli_history_corrupt_store_exit3(tmp_path, capsys):
         ("report", "soh_permille", 900.9, "soh_permille must be an integer, not float"),
         ("diag", "sequence_no", True, "sequence_no must be an integer, not bool"),
         ("entry", "received_at", "100", "received_at must be an integer, not str"),
+        ("entry", "received_at", -5, "received_at outside [0, 2**64)"),
+        ("entry", "received_at", 1 << 64, "received_at outside [0, 2**64)"),
+        ("entry", "pack_id", "02", "entry pack_id must be the pack id of one of its reports"),
+        ("entry", "pack_id", "02" * 8, "entry pack_id must be the pack id of one of its reports"),
+        ("entry", "session_id", {"x": [1, 2]}, "session_id must be a string"),
+        ("entry", "source", 7, "source must be the packet's use case IDLE_DIAG"),
+        ("entry", "source", "ACTIVE_DIAG", "source must be the packet's use case IDLE_DIAG"),
     ],
-    ids=["soc-out-of-range", "cells-string", "soh-float", "sequence-bool", "received-at-string"],
+    ids=["soc-out-of-range", "cells-string", "soh-float", "sequence-bool", "received-at-string",
+         "received-at-negative", "received-at-past-64-bits", "pack-id-short",
+         "pack-id-of-no-report", "session-id-object", "source-number", "source-other-use-case"],
 )
 def test_cli_history_out_of_range_or_mistyped_store_value_exit3(where, key, value, detail, tmp_path, capsys):
     line = make_entry(1, 100).to_json()
@@ -517,6 +526,7 @@ def test_cli_wakeup_sim_scenario_with_days_is_usage_error(tmp_path, capsys):
 
 
 BAD_SCENARIO = "error: bad scenario: "
+BAD_SCENARIO_FILE = "error: bad scenario file: "  # a scenario file holds JSON numbers only
 BAD_MODEL = "error: bad model file: "  # a power model is range-checked when the file is read
 
 
@@ -530,18 +540,29 @@ BAD_MODEL = "error: bad model file: "  # a power model is range-checked when the
         (["--scenario", "s.json"],
          {"s.json": '{"duration_days": 1, "readouts": [{"start_s": NaN, "length_s": 60}]}'},
          BAD_SCENARIO),
-        (["--scenario", "s.json"], {"s.json": '{"duration_days": "inf"}'}, BAD_SCENARIO),
+        (["--scenario", "s.json"], {"s.json": '{"duration_days": "inf"}'}, BAD_SCENARIO_FILE),
+        (["--scenario", "s.json"], {"s.json": '{"duration_days": Infinity}'}, BAD_SCENARIO),
         (["--model", "m.json"], {"m.json": '{"supply_voltage_v": "x"}'}, BAD_MODEL),
         (["--model", "m.json"], {"m.json": '{"bpc_active_current_ma": 1e306}'}, BAD_MODEL),
         (["--model", "m.json"], {"m.json": '{"ntag_standby_current_ua": 1e16}'}, BAD_MODEL),
         (["--model", "m.json"],
          {"m.json": '{"ed_wakeup_latency_ms": 1e306, "eh_wakeup_latency_ms": 1e306}'}, BAD_MODEL),
         (["--model", "m.json"], {"m.json": '{"supply_voltage_v": 1' + "0" * 400 + "}"}, BAD_MODEL),
+        (["--scenario", "s.json"], {"s.json": '{"duration_days": "365"}'}, BAD_SCENARIO_FILE),
+        (["--scenario", "s.json"],
+         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": "3600", "length_s": 60}]}'},
+         BAD_SCENARIO_FILE),
+        (["--scenario", "s.json"],
+         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": 3600, "length_s": true}]}'},
+         BAD_SCENARIO_FILE),
+        (["--scenario", "s.json"], {"s.json": '{"duration_days": null}'}, BAD_SCENARIO_FILE),
+        (["--model", "m.json"], {"m.json": '{"supply_voltage_v": true}'}, BAD_MODEL),
     ],
     ids=["days-nan", "days-inf", "days-1e300", "days-1e-12",
-         "start-nan", "duration-inf", "model-not-a-number",
+         "start-nan", "duration-inf", "duration-infinity", "model-not-a-number",
          "model-huge-current", "model-power-past-64-bits", "model-huge-latency",
-         "model-int-past-float-range"],
+         "model-int-past-float-range", "duration-string", "start-string", "length-bool",
+         "duration-null", "model-bool"],
 )
 def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -14,7 +14,6 @@ import reference_crypto as ref
 from nfcbms import secure_channel as sc
 from nfcbms.errors import (
     BadLength,
-    ChannelNotEstablished,
     InvalidNonce,
     PaddingError,
     TagMismatch,
@@ -81,53 +80,67 @@ def test_key_separation_over_1000_random_inputs():
 
 
 def test_double_encrypt_roundtrip_random():
+    # payloads of 16-31 bytes pad to the transform's two blocks
     rng = random.Random(2)
     for _ in range(20):
-        p = rng.randbytes(rng.randrange(1, 100))
-        assert sc.double_decrypt(KEY, sc.double_encrypt(KEY, p)) == p
+        p = rng.randbytes(rng.randrange(16, 32))
+        padded = ref.pkcs7_pad(p)
+        assert sc.double_decrypt(KEY, sc.double_encrypt(KEY, padded)) == padded
+        assert ref.pkcs7_unpad(padded) == p
 
 
 def test_double_encrypt_matches_reference_chain():
-    p = b"handshake oracle check"
-    out = sc.double_encrypt(KEY, p)
+    padded = ref.pkcs7_pad(b"handshake oracle check")
+    out = sc.double_encrypt(KEY, padded)
     assert out.hex() == "e7aba827c5460ae95c5f025e0789d5c0c0e7f4fc1265648ff6ca081854f3f302"
-    padded = ref.pkcs7_pad(p)
     assert out == ref.cbc_encrypt(KEY.bytes, bytes(16), ref.cbc_encrypt(KEY.bytes, bytes(16), padded))
 
 
 def test_single_pass_decrypt_is_not_enough():
-    p = b"handshake oracle check"
-    out = sc.double_encrypt(KEY, p)
+    padded = ref.pkcs7_pad(b"handshake oracle check")
+    out = sc.double_encrypt(KEY, padded)
     once = ref.cbc_decrypt(KEY.bytes, bytes(16), out)
-    assert once != ref.pkcs7_pad(p)
+    assert once != padded
 
 
 def test_raw_transforms_invert_on_block_aligned_data():
     rng = random.Random(3)
     for _ in range(20):
         x = rng.randbytes(32)
-        assert sc.double_encrypt(KEY, sc.double_decrypt(KEY, x, unpad=False), pad=False) == x
-        assert sc.double_decrypt(KEY, sc.double_encrypt(KEY, x, pad=False), unpad=False) == x
+        assert sc.double_encrypt(KEY, sc.double_decrypt(KEY, x)) == x
+        assert sc.double_decrypt(KEY, sc.double_encrypt(KEY, x)) == x
 
 
 def test_direction_asymmetry_over_1000_vectors():
     rng = random.Random(4)
     for _ in range(1000):
         x = rng.randbytes(32)
-        assert sc.double_encrypt(KEY, x, pad=False) != sc.double_decrypt(KEY, x, unpad=False)
+        assert sc.double_encrypt(KEY, x) != sc.double_decrypt(KEY, x)
 
 
 def test_double_decrypt_rejects_bad_length():
-    with pytest.raises(BadLength):
-        sc.double_decrypt(KEY, bytes(15))
-    with pytest.raises(BadLength):
-        sc.double_encrypt(KEY, b"")
+    # the transforms take exactly two blocks: no padding, no other length
+    for n in (0, 15, 16, 31, 33, 48):
+        with pytest.raises(BadLength):
+            sc.double_decrypt(KEY, bytes(n))
+        with pytest.raises(BadLength):
+            sc.double_encrypt(KEY, bytes(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16), x=st.binary(min_size=32, max_size=32))
+def test_double_transforms_are_inverse_reference_chains(key, x):
+    master = sc.MasterKey(key)
+    enc, dec = sc.double_encrypt(master, x), sc.double_decrypt(master, x)
+    assert enc == ref.cbc_encrypt(key, bytes(16), ref.cbc_encrypt(key, bytes(16), x))
+    assert dec == ref.cbc_decrypt(key, bytes(16), ref.cbc_decrypt(key, bytes(16), x))
+    assert sc.double_decrypt(master, enc) == x == sc.double_encrypt(master, dec)
 
 
 def test_double_decrypt_frozen_vector():
     # the reader-side transform of (id | nonce) zero-extended to 32 bytes
     plain = (b"NR__" + bytes([2]) * 16).ljust(32, b"\x00")
-    out = sc.double_decrypt(KEY, plain, unpad=False)
+    out = sc.double_decrypt(KEY, plain)
     assert out.hex() == "d564780b3be2495b8b7384a1fd7240448c3b0ee7273aeb47bdb98b95822caa70"
     assert out == ref.cbc_decrypt(KEY.bytes, bytes(16), ref.cbc_decrypt(KEY.bytes, bytes(16), plain))
 
@@ -137,32 +150,31 @@ def test_double_decrypt_frozen_vector():
 
 def test_chained_tag_frozen_vector():
     k_mac = bytes(range(16))
+    mac = sc.SessionKeys(k_enc=bytes(16), k_mac=k_mac).mac
     sec = bytes.fromhex("00112233445566778899aabbccddeeff" * 2)
     iv = bytes.fromhex("0f0e0d0c0b0a09080706050403020100")
-    tag = sc.compute_chained_tag(k_mac, sec, iv, b"BMS", bytes(16))
+    tag = mac.cmac(sec + iv + b"BMS" + bytes(16))
     assert tag.hex() == "c4b39604554b21997a3fa47b09ec1e78"
-    tag2 = sc.compute_chained_tag(k_mac, sec, iv, b"BMS", tag)
+    tag2 = mac.cmac(sec + iv + b"BMS" + tag)
     assert tag2.hex() == "ba3e412b1104039d4a5ea08dd93e5d9c"
     assert tag == ref.cmac(k_mac, sec + iv + b"BMS" + bytes(16))
     assert tag2 == ref.cmac(k_mac, sec + iv + b"BMS" + tag)
 
 
 def test_chained_tag_sensitive_to_add_data():
-    k_mac = bytes(range(16))
-    sec = bytes(32)
-    iv = bytes(16)
-    base = sc.compute_chained_tag(k_mac, sec, iv, b"AAAA", bytes(16))
+    keys = sc.SessionKeys(k_enc=bytes(16), k_mac=bytes(range(16)))
+
+    def seal(add_data: bytes) -> sc.SecureRecord:
+        # one seed, so every record has the same IV and sec_data
+        return sc.seal_record(sc.ChannelState.for_keys(keys), b"x", add_data, random.Random(0))
+
+    base = seal(b"AAAA")
     for i in range(4):
         mutated = bytearray(b"AAAA")
         mutated[i] ^= 1
-        assert sc.compute_chained_tag(k_mac, sec, iv, bytes(mutated), bytes(16)) != base
-
-
-def test_chained_tag_rejects_short_iv_or_tag():
-    with pytest.raises(BadLength):
-        sc.compute_chained_tag(bytes(16), b"", bytes(15), b"", bytes(16))
-    with pytest.raises(BadLength):
-        sc.compute_chained_tag(bytes(16), b"", bytes(16), b"", bytes(8))
+        record = seal(bytes(mutated))
+        assert (record.iv, record.sec_data) == (base.iv, base.sec_data)
+        assert record.tag != base.tag
 
 
 # --- record channel ---
@@ -175,8 +187,31 @@ def test_seal_open_roundtrip():
         plain = f"record number {i}".encode()
         rec = sc.seal_record(sender, plain, b"hdr", rng)
         assert sc.open_record(receiver, rec) == plain
-    assert sender.records_sealed == 5
-    assert receiver.records_opened == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.tuples(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    .filter(lambda k: k[0] != k[1]),
+    messages=st.lists(
+        st.tuples(st.binary(max_size=300), st.binary(max_size=24)), min_size=1, max_size=6
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sealed_sequences_match_the_reference_and_open_in_order(keys, messages, seed):
+    k_enc, k_mac = keys
+    channel_keys = sc.SessionKeys(k_enc, k_mac)
+    sender, receiver = sc.ChannelState.for_keys(channel_keys), sc.ChannelState.for_keys(channel_keys)
+    rng = random.Random(seed)
+    previous = sc.CHAIN_SENTINEL
+    records = []
+    for plain, add in messages:
+        rec = sc.seal_record(sender, plain, add, rng)
+        assert rec.sec_data == ref.cbc_encrypt(k_enc, rec.iv, ref.pkcs7_pad(plain))
+        assert rec.tag == ref.cmac(k_mac, rec.sec_data + rec.iv + add + previous)
+        previous = rec.tag
+        records.append(rec)
+    assert [sc.open_record(receiver, rec) for rec in records] == [p for p, _ in messages]
 
 
 def test_seal_golden_record_from_composed_oracles():
@@ -264,15 +299,6 @@ def test_a_dropped_middle_record_is_caught_a_dropped_suffix_is_not():
 
     _, receiver = make_pair(6)
     assert [sc.open_record(receiver, rec) for rec in records[:2]] == [b"r0", b"r1"]
-
-
-def test_open_requires_established_channel():
-    state = sc.ChannelState()
-    with pytest.raises(ChannelNotEstablished):
-        sc.seal_record(state, b"x", b"", random.Random(0))
-    rec = sc.SecureRecord(bytes(16), bytes(16), b"", bytes(16))
-    with pytest.raises(ChannelNotEstablished):
-        sc.open_record(state, rec)
 
 
 def test_tag_checked_before_padding():
@@ -395,8 +421,8 @@ def test_keys_and_their_contexts_die_with_the_key_objects():
     master = sc.MasterKey(rng.randbytes(16))
     keys = sc.derive_session_keys(master, sc.new_nonce(rng), sc.new_nonce(rng))
     challenge = bytes(range(32))
-    chal = sc.double_encrypt(master, challenge, pad=False)
-    assert sc.double_decrypt(master, chal, unpad=False) == challenge
+    chal = sc.double_encrypt(master, challenge)
+    assert sc.double_decrypt(master, chal) == challenge
     sender, receiver = sc.ChannelState.for_keys(keys), sc.ChannelState.for_keys(keys)
     assert sc.open_record(receiver, sc.seal_record(sender, b"pack 7", b"DIAG", rng)) == b"pack 7"
     # the contexts exist now, and repr still shows no key bytes
