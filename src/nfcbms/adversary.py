@@ -23,8 +23,9 @@ from . import diagnostics, handshake as hs, secure_channel as sc, sndef
 from .errors import BadFlags, NfcBmsError, UnknownType
 
 SECRECY_WINDOW = 8
-# above this many windows a plaintext is first checked in one linear pass;
-# near 64 the two checks cost about the same, whatever the transcript length
+# above this many windows a plaintext joins the session's one set of windows,
+# checked in one linear pass; near 64 the two checks cost about the same,
+# whatever the transcript length
 SCAN_DIRECT_MAX_WINDOWS = 64
 
 
@@ -224,22 +225,34 @@ def _words(data: bytes):
         yield view[k:k + (len(data) - k) // SECRECY_WINDOW * SECRECY_WINDOW].cast("Q")
 
 
+def _is_long(plain: bytes) -> bool:
+    return len(plain) - SECRECY_WINDOW + 1 > SCAN_DIRECT_MAX_WINDOWS
+
+
+def _disjoint(plaintexts: list, transcript_blob: bytes) -> bool:
+    """No window of any of ``plaintexts`` is in the transcript: one set of
+    their windows, checked in one walk of the transcript's windows."""
+    mine = set(chain.from_iterable(chain.from_iterable(map(_words, plaintexts))))
+    return all(mine.isdisjoint(words) for words in _words(transcript_blob))
+
+
 def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     """The first >= 8-byte window of each plaintext that leaks into the
     transcript, in hex.
 
-    A plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS`` windows is first
-    checked in one linear pass: the set of its windows is disjoint from
-    the transcript's windows exactly when nothing leaks.  Only a short or
-    a leaking plaintext pays for the window-by-window search that names
-    its first leaking window.
+    Every plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS`` windows joins
+    one set, checked against the transcript in one linear pass: when
+    nothing of them leaks, as in any honest session, none of them is
+    looked at again.  Otherwise each is checked on its own the same way.
+    Only a short or a leaking plaintext pays for the window-by-window
+    search that names its first leaking window.
     """
+    long = [plain for plain in plaintexts if _is_long(plain)]
+    long_clean = bool(long) and _disjoint(long, transcript_blob)
     hits = []
     for plain in plaintexts:
-        if len(plain) - SECRECY_WINDOW + 1 > SCAN_DIRECT_MAX_WINDOWS:
-            mine = set(chain.from_iterable(_words(plain)))
-            if all(mine.isdisjoint(words) for words in _words(transcript_blob)):
-                continue
+        if _is_long(plain) and (long_clean or _disjoint([plain], transcript_blob)):
+            continue
         for i in range(len(plain) - SECRECY_WINDOW + 1):
             window = plain[i:i + SECRECY_WINDOW]
             if window in transcript_blob:

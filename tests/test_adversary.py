@@ -278,7 +278,9 @@ def plant(pieces: list, j: int, window: bytes, cut: int) -> None:
 def scan_inputs(draw):
     """Frames and plaintexts over a 1-4 symbol alphabet, so windows recur
     often, and maybe one plaintext's first or last window planted across a
-    sent/delivered boundary (even ``j``) or a frame boundary (odd ``j``)."""
+    sent/delivered boundary (even ``j``) or a frame boundary (odd ``j``).
+    About half the examples mix in 2-4 plaintexts above the threshold,
+    which share the session's one set, and plant the leak in one of them."""
     symbols = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
     to_symbols = bytes(symbols[b % len(symbols)] for b in range(256))
 
@@ -295,8 +297,13 @@ def scan_inputs(draw):
     plaintexts = draw(st.lists(text(lengths), max_size=4))
     frames = draw(st.integers(1, 6))
     pieces = draw(st.lists(text(st.integers(0, 40)), min_size=2 * frames, max_size=2 * frames))
-    leaky = [p for p in plaintexts if len(p) >= adv.SECRECY_WINDOW]
-    where = draw(st.sampled_from(["none", "first", "last"]))
+    if draw(st.booleans()):
+        leaky = draw(st.lists(text(st.integers(LONGEST_DIRECT + 1, 300)), min_size=2, max_size=4))
+        plaintexts = draw(st.permutations(plaintexts + leaky))
+        where = draw(st.sampled_from(["first", "last"]))
+    else:
+        leaky = [p for p in plaintexts if len(p) >= adv.SECRECY_WINDOW]
+        where = draw(st.sampled_from(["none", "first", "last"]))
     if leaky and where != "none":
         plain = draw(st.sampled_from(leaky))
         window = plain[:adv.SECRECY_WINDOW] if where == "first" else plain[-adv.SECRECY_WINDOW:]
@@ -324,6 +331,40 @@ def test_scan_names_a_window_planted_across_a_boundary(length, where, boundary):
     blob = blob_of(pieces)
     plaintexts = [plain[:adv.SECRECY_WINDOW - 1], plain, rng.randbytes(length)]
     assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) == [window.hex()]
+
+
+@pytest.mark.parametrize("leaking", [(0, 1), (0, 3), (1, 2), (2, 3)])
+def test_scan_names_every_leaking_long_plaintext_in_plaintext_order(leaking):
+    rng = random.Random(sum(leaking))
+    plaintexts = [rng.randbytes(LONGEST_DIRECT + 1 + 100 * n) for n in range(4)]
+    pieces = [rng.randbytes(40) for _ in range(6)]
+    windows = [plaintexts[n][-adv.SECRECY_WINDOW:] for n in leaking]
+    plant(pieces, 3, windows[1], 5)  # the later plaintext's leak goes on the wire first
+    plant(pieces, 4, windows[0], 2)
+    blob = blob_of(pieces)
+    expected = [window.hex() for window in windows]
+    assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) == expected
+
+
+@pytest.mark.parametrize("lengths, transcript_walks", [
+    ([], 0),
+    ([0, adv.SECRECY_WINDOW - 1, adv.SECRECY_WINDOW, LONGEST_DIRECT], 0),
+    ([LONGEST_DIRECT + 1], 1),
+    ([LONGEST_DIRECT, 300, LONGEST_DIRECT + 1, 8000], 1),
+], ids=["none", "all-short", "one-long", "mixed"])
+def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
+    monkeypatch, lengths, transcript_walks
+):
+    rng = random.Random(len(lengths))
+    plaintexts = [rng.randbytes(n) for n in lengths]
+    blob = blob_of([rng.randbytes(200) for _ in range(4)])
+    viewed = []
+    words = adv._words
+    monkeypatch.setattr(adv, "_words", lambda data: viewed.append(data) or words(data))
+    assert adv.scan_secrecy(blob, plaintexts) == []
+    assert viewed.count(blob) == transcript_walks
+    if not transcript_walks:
+        assert viewed == []
 
 
 @dataclass
