@@ -23,9 +23,9 @@ from . import diagnostics, handshake as hs, secure_channel as sc, sndef
 from .errors import BadFlags, NfcBmsError, UnknownType
 
 SECRECY_WINDOW = 8
-# above this many windows a plaintext joins the session's one set of windows,
-# checked in one linear pass; near 64 the two checks cost about the same,
-# whatever the transcript length
+# a session walks the transcript once for one set of windows only if one of
+# its plaintexts has more windows than this; near 64 a walk and a
+# window-by-window search cost about the same, whatever the transcript length
 SCAN_DIRECT_MAX_WINDOWS = 64
 
 
@@ -240,14 +240,16 @@ def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     """The first >= 8-byte window of each plaintext that leaks into the
     transcript, in hex.
 
-    Every plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS`` windows joins
-    one set, checked against the transcript in one linear pass: when
-    nothing of them leaks, as in any honest session, none of them is
-    looked at again.  Otherwise each is checked on its own the same way.
-    Only a short or a leaking plaintext pays for the window-by-window
-    search that names its first leaking window.
+    A session with a plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS``
+    windows checks one set of the windows of all its plaintexts against the
+    transcript in one linear pass; when nothing leaks, as in any honest
+    session, that is all.  Otherwise its long plaintexts are checked
+    together, then each on its own.  Only a short or a leaking plaintext
+    pays for the window-by-window search that names its first leaking window.
     """
     long = [plain for plain in plaintexts if _is_long(plain)]
+    if long and _disjoint(plaintexts, transcript_blob):
+        return []
     long_clean = bool(long) and _disjoint(long, transcript_blob)
     hits = []
     for plain in plaintexts:

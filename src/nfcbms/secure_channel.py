@@ -20,6 +20,8 @@ Three pieces live here:
 Each key object holds its own AES/CMAC contexts (``MasterKey.aes``,
 ``SessionKeys.enc``, ``SessionKeys.mac``), built on first use and freed
 with the key: nothing at module level keeps a key or a context alive.
+CBC encryption runs on one encryptor per key whose chain carries over
+between calls (``_Aes``), so a key object is used by one thread at a time.
 """
 
 from __future__ import annotations
@@ -52,25 +54,25 @@ _KDF_LABEL_MAC = bytes([0x02]) + b"SKEYMAC"
 _KDF_OUTLEN = b"\x00\x80"  # 128 output bits, big endian
 
 
-# One Cipher(CBC) call has a fixed setup cost of about 20 us (cryptography
-# 48, Xeon vCPU), and chaining CBC encryption in Python over the reused ECB
-# encryptor costs about 1.1-1.5 us a block: up to this bound chaining is cheaper.
-_CHAIN_MAX_BLOCKS = 16
-
-
 class _Aes:
-    """AES-128 under one key: ECB contexts and a CMAC prototype, each built on first use.
+    """AES-128 under one key: cipher contexts and a CMAC prototype, each built on first use.
 
-    CBC is done over ECB as SP 800-38A defines it.  Inputs must be block
-    aligned, so the reused ECB contexts never buffer a partial block.
+    CBC encryption runs on one encryptor, started with a zero IV, and
+    ``_cbc_last`` is always the last block it emitted: a call under ``iv``
+    XORs ``iv ^ _cbc_last`` into its first block, so the context's own
+    chaining gives CBC under ``iv`` as SP 800-38A defines it.  Nothing that
+    can raise runs between the two updates.  Inputs must be block aligned,
+    so no context buffers a partial block.  Like ``HandshakeState``, a key
+    object is used by one thread at a time.
     """
 
     def __init__(self, key: bytes) -> None:
         self._aes = algorithms.AES(key)
+        self._cbc_last = 0
 
     @cached_property
-    def _ecb_enc(self):
-        return Cipher(self._aes, modes.ECB()).encryptor()
+    def _cbc_enc(self):
+        return Cipher(self._aes, modes.CBC(_ZERO_IV)).encryptor()
 
     @cached_property
     def _ecb_dec(self):
@@ -83,17 +85,12 @@ class _Aes:
     def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
         if len(data) % BLOCK:
             raise BadLength("CBC input must be block aligned")
-        if len(data) > _CHAIN_MAX_BLOCKS * BLOCK:
-            op = Cipher(self._aes, modes.CBC(iv)).encryptor()
-            return op.update(data) + op.finalize()
-        encrypt, from_bytes = self._ecb_enc.update, int.from_bytes
-        out = []
-        prev = from_bytes(iv, "big")
-        for i in range(0, len(data), BLOCK):
-            block = encrypt((from_bytes(data[i:i + BLOCK], "big") ^ prev).to_bytes(BLOCK, "big"))
-            out.append(block)
-            prev = from_bytes(block, "big")
-        return b"".join(out)
+        if not data:
+            return b""
+        head = int.from_bytes(data[:BLOCK], "big") ^ int.from_bytes(iv, "big") ^ self._cbc_last
+        out = self._cbc_enc.update(head.to_bytes(BLOCK, "big") + data[BLOCK:])
+        self._cbc_last = int.from_bytes(out[-BLOCK:], "big")
+        return out
 
     def cbc_decrypt(self, iv: bytes, data: bytes) -> bytes:
         if len(data) % BLOCK:

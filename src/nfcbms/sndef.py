@@ -6,6 +6,10 @@ not need, so records here use a compact fixed header:
     record  := type_code(1) | flags(1) | payload_len(4, BE) | payload
     message := record+            (MB set on first, ME set on last)
 
+MB and ME are positional: a record carries no flags of its own, the
+encoder writes them from its place in the message and the decoder
+checks them.
+
 Secure records travel as a ``SNDEF_SECURE`` payload:
 
     iv(16) | tag(16) | add_len(2, BE) | add_data | sec_data
@@ -17,7 +21,7 @@ simulator's wire.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import BadFlags, EmptyInput, OversizeMessage, Truncated, UnknownType
@@ -38,41 +42,37 @@ class RecordType(IntEnum):
     DIAG_PLAIN = 0x03
 
 
+_TYPES = {int(t): t for t in RecordType}
+_HEADER = struct.Struct(">BBI")
+
+
 @dataclass(frozen=True)
 class NdefRecord:
     type_code: RecordType
     payload: bytes
-    flags: int = 0
 
 
 @dataclass
 class NdefMessage:
-    """Ordered records; construction normalizes the begin/end flags."""
+    """Ordered records; MB and ME follow from their positions."""
 
     records: list[NdefRecord]
 
     def __post_init__(self) -> None:
         if not self.records:
             raise EmptyInput("a message needs at least one record")
-        last = len(self.records) - 1
-        self.records = [
-            replace(
-                rec,
-                flags=(FLAG_MB if i == 0 else 0) | (FLAG_ME if i == last else 0),
-            )
-            for i, rec in enumerate(self.records)
-        ]
 
 
 def encode_message(msg: NdefMessage) -> bytes:
-    total = sum(RECORD_HEADER_LEN + len(r.payload) for r in msg.records)
-    if total > MAX_MESSAGE:
-        raise OversizeMessage(f"encoded message is {total} bytes, cap is {MAX_MESSAGE}")
-    out = bytearray()
-    for rec in msg.records:
-        out += struct.pack(">BBI", int(rec.type_code), rec.flags, len(rec.payload))
-        out += rec.payload
-    return bytes(out)
+    last = len(msg.records) - 1
+    out = b"".join([
+        _HEADER.pack(rec.type_code, FLAG_MB * (i == 0) | FLAG_ME * (i == last), len(rec.payload))
+        + rec.payload
+        for i, rec in enumerate(msg.records)
+    ])
+    if len(out) > MAX_MESSAGE:
+        raise OversizeMessage(f"encoded message is {len(out)} bytes, cap is {MAX_MESSAGE}")
+    return out
 
 
 def decode_message(raw: bytes) -> NdefMessage:
@@ -88,24 +88,20 @@ def decode_message(raw: bytes) -> NdefMessage:
     while True:
         if n - pos < RECORD_HEADER_LEN:
             raise Truncated("record header runs past end of input")
-        type_code, flags, payload_len = struct.unpack_from(">BBI", raw, pos)
+        type_code, flags, payload_len = _HEADER.unpack_from(raw, pos)
         pos += RECORD_HEADER_LEN
-        try:
-            rtype = RecordType(type_code)
-        except ValueError:
-            raise UnknownType(f"record type 0x{type_code:02x}") from None
+        rtype = _TYPES.get(type_code)
+        if rtype is None:
+            raise UnknownType(f"record type 0x{type_code:02x}")
         if flags & ~_KNOWN_FLAGS:
             raise BadFlags(f"undefined flag bits 0x{flags:02x}")
         if payload_len > n - pos:
             raise Truncated("declared payload runs past end of input")
-        payload = raw[pos:pos + payload_len]
-        pos += payload_len
-        mb = bool(flags & FLAG_MB)
-        me = bool(flags & FLAG_ME)
-        if mb != (not records):
+        if bool(flags & FLAG_MB) != (not records):
             raise BadFlags("MB must be set on exactly the first record")
-        records.append(NdefRecord(rtype, payload, flags))
-        if me:
+        records.append(NdefRecord(rtype, raw[pos:pos + payload_len]))
+        pos += payload_len
+        if flags & FLAG_ME:
             if pos != n:
                 raise BadFlags("data continues after the ME record")
             return NdefMessage(records)

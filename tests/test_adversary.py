@@ -346,18 +346,29 @@ def test_scan_names_every_leaking_long_plaintext_in_plaintext_order(leaking):
     assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) == expected
 
 
+class SearchCountingBlob(bytes):
+    """A transcript that counts the substring searches made in it."""
+
+    searches = 0
+
+    def __contains__(self, window) -> bool:
+        self.searches += 1
+        return super().__contains__(window)
+
+
 @pytest.mark.parametrize("lengths, transcript_walks", [
     ([], 0),
     ([0, adv.SECRECY_WINDOW - 1, adv.SECRECY_WINDOW, LONGEST_DIRECT], 0),
     ([LONGEST_DIRECT + 1], 1),
+    ([LONGEST_DIRECT + 1, LONGEST_DIRECT], 1),
     ([LONGEST_DIRECT, 300, LONGEST_DIRECT + 1, 8000], 1),
-], ids=["none", "all-short", "one-long", "mixed"])
+], ids=["none", "all-short", "one-long", "long-and-short", "mixed"])
 def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
     monkeypatch, lengths, transcript_walks
 ):
     rng = random.Random(len(lengths))
     plaintexts = [rng.randbytes(n) for n in lengths]
-    blob = blob_of([rng.randbytes(200) for _ in range(4)])
+    blob = SearchCountingBlob(blob_of([rng.randbytes(200) for _ in range(4)]))
     viewed = []
     words = adv._words
     monkeypatch.setattr(adv, "_words", lambda data: viewed.append(data) or words(data))
@@ -365,6 +376,8 @@ def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
     assert viewed.count(blob) == transcript_walks
     if not transcript_walks:
         assert viewed == []
+    else:  # the walk covered the short plaintexts too: no window-by-window search
+        assert blob.searches == 0
 
 
 @dataclass

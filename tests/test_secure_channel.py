@@ -11,7 +11,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 import reference_crypto as ref
-from nfcbms import secure_channel as sc
+from nfcbms import handshake as hs, secure_channel as sc
 from nfcbms.errors import (
     BadLength,
     InvalidNonce,
@@ -342,8 +342,9 @@ def test_master_key_repr_redacted():
 
 # --- keyed primitives held by their keys ---
 
-# block counts on both sides of the chaining bound
-_EDGE_BLOCKS = [sc._CHAIN_MAX_BLOCKS + d for d in (-1, 0, 1)]
+# one block, two blocks (the chain carries inside a call) and 16 and 17
+# (around the bound of an earlier Python-chained path)
+_EDGE_BLOCKS = [1, 2, 16, 17]
 
 
 def _fresh_cbc(key: bytes, iv: bytes, data: bytes, *, decrypt: bool) -> bytes:
@@ -362,7 +363,8 @@ def _fresh_cbc(key: bytes, iv: bytes, data: bytes, *, decrypt: bool) -> bytes:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_keyed_cbc_equals_fresh_cipher(key, ivs, blocks, seed):
-    # two calls each way on one holder: the reused ECB contexts carry nothing over
+    # two calls each way on one holder: the running encryptor's chain and
+    # the reused ECB decryptor carry nothing over between calls
     aes = sc._Aes(key)
     rng = random.Random(seed)
     for iv, n in zip(ivs, blocks):
@@ -375,7 +377,7 @@ def test_keyed_cbc_equals_fresh_cipher(key, ivs, blocks, seed):
 @given(
     key=st.binary(min_size=16, max_size=16),
     iv=st.binary(min_size=16, max_size=16),
-    data=st.integers(1, sc._CHAIN_MAX_BLOCKS + 1).flatmap(
+    data=st.integers(1, 17).flatmap(
         lambda n: st.binary(min_size=16 * n, max_size=16 * n)
     ),
 )
@@ -383,6 +385,69 @@ def test_keyed_cbc_matches_reference(key, iv, data):
     aes = sc._Aes(key)
     assert aes.cbc_encrypt(iv, data) == ref.cbc_encrypt(key, iv, data)
     assert aes.cbc_decrypt(iv, data) == ref.cbc_decrypt(key, iv, data)
+
+
+_CALL = st.one_of(
+    st.tuples(st.just("cbc_encrypt"), st.integers(0, 2), st.integers(0, 600)),
+    st.tuples(st.just("cbc_decrypt"), st.integers(0, 2), st.integers(0, 40)),
+    st.tuples(st.just("cmac"), st.just(0), st.integers(0, 80)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    ivs=st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=3),
+    calls=st.lists(_CALL, min_size=2, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_running_encryptor_survives_any_mix_of_calls(key, ivs, calls, seed):
+    # IVs are drawn from a short list, so some repeat; an empty input and the
+    # other primitives in between must not move the encryptor's chain
+    aes = sc._Aes(key)
+    rng = random.Random(seed)
+    for name, which, n in calls:
+        iv = ivs[which % len(ivs)]
+        if name == "cmac":
+            data = rng.randbytes(n)
+            assert aes.cmac(data) == ref.cmac(key, data)
+            continue
+        data = rng.randbytes(16 * n)
+        decrypt = name == "cbc_decrypt"
+        expected = _fresh_cbc(key, iv, data, decrypt=decrypt) if n else b""
+        assert getattr(aes, name)(iv, data) == expected
+
+
+def test_interleaved_handshakes_under_one_master_key_match_sequential_ones():
+    # every endpoint shares the master key's one CBC encryptor, whose chain
+    # runs across sessions: stepping two sessions in turn changes no frame
+    reader_id, controller_id = b"NR__", b"MN__"
+    steps = ("controller_respond", "reader_answer", "controller_key_confirm", "reader_key_confirm")
+
+    def sessions(master):
+        return [
+            (hs.HandshakeState.reader(reader_id, controller_id, master, random.Random(seed)),
+             hs.HandshakeState.controller(controller_id, reader_id, master, random.Random(seed + 1)))
+            for seed in (30, 40)
+        ]
+
+    sequential = []
+    for reader, controller in sessions(sc.MasterKey(bytes(range(16)))):
+        sequential += hs.run_honest_handshake(reader, controller)
+    pairs = sessions(sc.MasterKey(bytes(range(16))))
+    last = [reader.reader_start().to_bytes() for reader, _ in pairs]
+    frames = [list(last)]
+    for step in steps:
+        last = [
+            getattr(reader if step.startswith("reader") else controller, step)(frame).to_bytes()
+            for (reader, controller), frame in zip(pairs, last)
+        ]
+        frames.append(last)
+    for (_, controller), frame in zip(pairs, last):
+        controller.controller_finalize(frame)
+        assert controller.phase == hs.Phase.ESTABLISHED
+    interleaved = [frames[step][session] for session in (0, 1) for step in range(5)]
+    assert interleaved == sequential
 
 
 @settings(max_examples=50, deadline=None)
@@ -412,7 +477,7 @@ def test_mac_key_builds_no_cipher_contexts():
     sender, receiver = make_pair(16)
     sc.open_record(receiver, sc.seal_record(sender, b"x", b"", random.Random(17)))
     assert "_mac" in vars(sender.keys.mac)
-    assert "_ecb_enc" not in vars(sender.keys.mac) and "_ecb_dec" not in vars(sender.keys.mac)
+    assert "_cbc_enc" not in vars(sender.keys.mac) and "_ecb_dec" not in vars(sender.keys.mac)
     assert "_mac" not in vars(sender.keys.enc)
 
 

@@ -52,8 +52,15 @@ def test_empty_message_rejected():
 )
 def test_roundtrip_random_messages(specs):
     msg = sndef.NdefMessage([sndef.NdefRecord(t, p) for t, p in specs])
-    decoded = sndef.decode_message(sndef.encode_message(msg))
+    raw = sndef.encode_message(msg)
+    decoded = sndef.decode_message(raw)
     assert decoded.records == msg.records
+    # the encoder owns the flag rule: MB on the first record only, ME on the last only
+    pos, last = 0, len(specs) - 1
+    for i, (_, payload) in enumerate(specs):
+        assert raw[pos + 1] == (sndef.FLAG_MB if i == 0 else 0) | (sndef.FLAG_ME if i == last else 0)
+        pos += sndef.RECORD_HEADER_LEN + len(payload)
+    assert pos == len(raw)
 
 
 def test_truncated_payload_rejected():
