@@ -342,8 +342,8 @@ def test_master_key_repr_redacted():
 
 # --- keyed primitives held by their keys ---
 
-# one block, two blocks (the chain carries inside a call) and 16 and 17
-# (around the bound of an earlier Python-chained path)
+# block counts drawn often besides the 1-512 range: one block, the two of
+# a challenge transform, and 16 and 17, where a record's padding adds a block
 _EDGE_BLOCKS = [1, 2, 16, 17]
 
 
