@@ -243,17 +243,15 @@ def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     A session with a plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS``
     windows checks one set of the windows of all its plaintexts against the
     transcript in one linear pass; when nothing leaks, as in any honest
-    session, that is all.  Otherwise its long plaintexts are checked
-    together, then each on its own.  Only a short or a leaking plaintext
-    pays for the window-by-window search that names its first leaking window.
+    session, that is all.  On a hit, each long plaintext is checked on its
+    own.  Only a short or a leaking plaintext pays for the window-by-window
+    search that names its first leaking window.
     """
-    long = [plain for plain in plaintexts if _is_long(plain)]
-    if long and _disjoint(plaintexts, transcript_blob):
+    if any(map(_is_long, plaintexts)) and _disjoint(plaintexts, transcript_blob):
         return []
-    long_clean = bool(long) and _disjoint(long, transcript_blob)
     hits = []
     for plain in plaintexts:
-        if _is_long(plain) and (long_clean or _disjoint([plain], transcript_blob)):
+        if _is_long(plain) and _disjoint([plain], transcript_blob):
             continue
         for i in range(len(plain) - SECRECY_WINDOW + 1):
             window = plain[i:i + SECRECY_WINDOW]

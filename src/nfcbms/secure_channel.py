@@ -21,7 +21,8 @@ Each key object holds its own AES/CMAC contexts (``MasterKey.aes``,
 ``SessionKeys.enc``, ``SessionKeys.mac``), built on first use and freed
 with the key: nothing at module level keeps a key or a context alive.
 CBC encryption runs on one encryptor per key whose chain carries over
-between calls (``_Aes``), so a key object is used by one thread at a time.
+between calls (``_Aes``); a call that raises or overlaps another on the
+same key starts a fresh chain rather than run on one out of step.
 """
 
 from __future__ import annotations
@@ -57,22 +58,20 @@ _KDF_OUTLEN = b"\x00\x80"  # 128 output bits, big endian
 class _Aes:
     """AES-128 under one key: cipher contexts and a CMAC prototype, each built on first use.
 
-    CBC encryption runs on one encryptor, started with a zero IV, and
-    ``_cbc_last`` is always the last block it emitted: a call under ``iv``
-    XORs ``iv ^ _cbc_last`` into its first block, so the context's own
-    chaining gives CBC under ``iv`` as SP 800-38A defines it.  Nothing that
-    can raise runs between the two updates.  Inputs must be block aligned,
-    so no context buffers a partial block.  Like ``HandshakeState``, a key
-    object is used by one thread at a time.
+    CBC encryption runs on one encryptor, started with a zero IV, kept in
+    ``_cbc`` with ``cbc_last``, the last block it emitted: a call under
+    ``iv`` XORs ``iv ^ cbc_last`` into its first block, so the context's
+    own chaining gives CBC under ``iv`` as SP 800-38A defines it.  A call
+    takes the pair out of ``_cbc`` in one step and puts it back, in step,
+    only after its update.  So a call that raises half way, or one that
+    overlaps another on the same key (sessions share their master key),
+    never leaves a chain out of step: a call that finds no pair starts a
+    fresh encryptor.  Inputs must be block aligned, so no context buffers a
+    partial block.
     """
 
     def __init__(self, key: bytes) -> None:
         self._aes = algorithms.AES(key)
-        self._cbc_last = 0
-
-    @cached_property
-    def _cbc_enc(self):
-        return Cipher(self._aes, modes.CBC(_ZERO_IV)).encryptor()
 
     @cached_property
     def _ecb_dec(self):
@@ -87,9 +86,11 @@ class _Aes:
             raise BadLength("CBC input must be block aligned")
         if not data:
             return b""
-        head = int.from_bytes(data[:BLOCK], "big") ^ int.from_bytes(iv, "big") ^ self._cbc_last
-        out = self._cbc_enc.update(head.to_bytes(BLOCK, "big") + data[BLOCK:])
-        self._cbc_last = int.from_bytes(out[-BLOCK:], "big")
+        enc, cbc_last = vars(self).pop("_cbc", None) or (
+            Cipher(self._aes, modes.CBC(_ZERO_IV)).encryptor(), 0)
+        head = int.from_bytes(data[:BLOCK], "big") ^ int.from_bytes(iv, "big") ^ cbc_last
+        out = enc.update(head.to_bytes(BLOCK, "big") + data[BLOCK:])
+        self._cbc = enc, int.from_bytes(out[-BLOCK:], "big")
         return out
 
     def cbc_decrypt(self, iv: bytes, data: bytes) -> bytes:
@@ -120,7 +121,10 @@ def pkcs7_unpad(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class MasterKey:
-    """Pre-embedded 16-byte master key. Never serialized or logged."""
+    """Pre-embedded 16-byte master key. Never serialized or logged.
+
+    Every session under the key shares its ``aes`` contexts, CBC chain too.
+    """
 
     bytes: bytes
 

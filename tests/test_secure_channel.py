@@ -473,11 +473,41 @@ def test_keyed_cbc_refuses_unaligned_input_and_stays_usable():
     assert aes.cbc_encrypt(bytes(16), b"") == aes.cbc_decrypt(bytes(16), b"") == b""
 
 
+def test_keyed_cbc_stays_in_step_after_a_call_that_raises_or_overlaps():
+    key, iv, data = bytes(range(16)), bytes(range(16, 32)), bytes(range(48))
+    aes = sc._Aes(key)
+    assert aes.cbc_encrypt(iv, data) == ref.cbc_encrypt(key, iv, data)
+
+    class Interrupted:  # the update runs, the call never returns
+        def update(self, block):
+            enc.update(block)
+            raise RuntimeError("interrupted")
+
+    class Overlapped:  # another call on the key runs while this one updates
+        def update(self, block):
+            nested.append(aes.cbc_encrypt(iv, data[:16]))
+            return enc.update(block)
+
+    nested = []
+    for wrapper in (Interrupted, Overlapped):
+        enc, cbc_last = aes._cbc
+        aes._cbc = wrapper(), cbc_last
+        try:
+            out = aes.cbc_encrypt(iv, data)
+        except RuntimeError:
+            pass
+        else:
+            assert out == ref.cbc_encrypt(key, iv, data)
+        for _ in range(2):
+            assert aes.cbc_encrypt(iv, data) == ref.cbc_encrypt(key, iv, data)
+    assert nested and set(nested) == {ref.cbc_encrypt(key, iv, data[:16])}
+
+
 def test_mac_key_builds_no_cipher_contexts():
     sender, receiver = make_pair(16)
     sc.open_record(receiver, sc.seal_record(sender, b"x", b"", random.Random(17)))
     assert "_mac" in vars(sender.keys.mac)
-    assert "_cbc_enc" not in vars(sender.keys.mac) and "_ecb_dec" not in vars(sender.keys.mac)
+    assert "_cbc" not in vars(sender.keys.mac) and "_ecb_dec" not in vars(sender.keys.mac)
     assert "_mac" not in vars(sender.keys.enc)
 
 
