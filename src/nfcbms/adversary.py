@@ -70,14 +70,6 @@ class LinkChannel:
 
 
 @dataclass
-class Eavesdrop:
-    """Passive: changes nothing.  What it sees is the link's transcript."""
-
-    def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
-        return wire
-
-
-@dataclass
 class Replay:
     """Substitute one frame with the same-slot frame of an earlier session."""
 
@@ -99,10 +91,9 @@ class Reflect:
 
     def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
         if frame_no == 1:
-            self._reader_id = wire[sndef.RECORD_HEADER_LEN + 1:sndef.RECORD_HEADER_LEN + 5]
+            self._reader_id = _unwrap(wire, sndef.RecordType.HANDSHAKE)[1:1 + hs.ID_LEN]
         if frame_no == 2:
-            frame = wire[sndef.RECORD_HEADER_LEN:]
-            self._msg2_chal = frame[hs.FRAME_HEADER_LEN + 16:]
+            self._msg2_chal = _unwrap(wire, sndef.RecordType.HANDSHAKE)[hs.FRAME_HEADER_LEN + 16:]
         if frame_no == 3 and self._msg2_chal is not None:
             forged = hs.HandshakeMessage(3, self._reader_id, self._msg2_chal).to_bytes()
             return _wrap(sndef.RecordType.HANDSHAKE, forged)
@@ -476,7 +467,7 @@ def _chosen_challenge(reader_cfg, controller_cfg, workload, rng, demo) -> Chosen
 # demo)`` -> that run's adversary, where ``demo`` asks for the canonical
 # fixed shape.  Insertion order is the strategy index that seeds every run.
 STRATEGIES = {
-    "eavesdrop": lambda *_: Eavesdrop(),
+    "eavesdrop": lambda *_: None,  # passive: the honest link, whose transcript it reads
     "replay": _replay,
     "reflect": lambda *_: Reflect(),
     "bitflip": _bitflip,

@@ -37,6 +37,7 @@ the master key can compute the session key.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,27 +59,25 @@ class ParseError(NfcBmsError):
 
 
 @dataclass(frozen=True)
-class Principal:
+class _Symbol:
+    """A declared name; its subclass is the kind of term it stands for."""
+
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Key:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+class Principal(_Symbol):
+    pass
 
 
-@dataclass(frozen=True)
-class NonceTerm:
-    name: str
+class Key(_Symbol):
+    pass
 
-    def __str__(self) -> str:
-        return self.name
+
+class NonceTerm(_Symbol):
+    pass
 
 
 @dataclass(frozen=True)
@@ -192,40 +191,21 @@ class SymbolTable:
         return _TERMS[self.kinds[name]](name)
 
 
-_PUNCT = ("|=", "|~", "<|", "<-", "->", "{", "}", "(", ")", ",")
 # a statement nests at most one level per token; this bound keeps the
 # recursive parser and derivation's hashing of nested statements well
 # inside the interpreter's recursion limit
 MAX_STATEMENT_TOKENS = 128
+# ``\w`` is ``str.isalnum()`` or ``_``; whitespace (``\s``) is skipped; anything else is an error
+_TOKEN = re.compile(r"(?P<punct>\|=|\|~|<\||<-|->|[{}(),])|(?P<ident>\w[\w']*)|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT:
-            tokens.append(("punct", two, i))
-            i += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(("punct", ch, i))
-            i += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

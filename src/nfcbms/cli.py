@@ -291,14 +291,13 @@ def cmd_ban_verify(args) -> int:
             _read_input(args.protocol, "input file", str) if args.protocol is not None
             else _bundled("handshake.ban")
         )
-        if args.goals is not None:
-            goals = ban.parse_goals(_read_input(args.goals, "input file", str), spec.symbols)
-        elif spec.goals:
-            goals = spec.goals
-        else:
-            goals = ban.parse_goals(_bundled("handshake_goals.ban"), spec.symbols)
+        goals = spec.goals if args.goals is None else ban.parse_goals(
+            _read_input(args.goals, "input file", str), spec.symbols)
     except ban.ParseError as exc:
         raise UsageError(f"parse error: {exc}") from exc
+    if not goals:  # nothing to derive would be a vacuous pass
+        raise UsageError("no goals: " + ("the goals file has none" if args.goals is not None else
+                                         "the protocol has no goal lines and no --goals file was given"))
 
     result = ban.verify_protocol(spec, goals, max_depth=args.max_depth)
     payload = {"command": "ban-verify", "result": ban.result_to_json(result)}
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ban-verify", cmd_ban_verify, "re-derive the protocol goals")
     p.add_argument("--protocol", help="protocol file (default: bundled handshake)")
-    p.add_argument("--goals", help="goals file (default: bundled goals)")
+    p.add_argument("--goals", help="goals file (default: the protocol's goal lines)")
     p.add_argument("--max-depth", type=int, default=16)
 
     return parser

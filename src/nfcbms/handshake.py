@@ -102,19 +102,19 @@ def challenge_plain(principal_id: bytes, nonce: sc.Nonce) -> bytes:
 
 @dataclass
 class HandshakeState:
-    """One endpoint of the handshake; single-threaded per session."""
+    """One endpoint of the handshake; single-threaded per session.
+    ``transcript[n - 1]`` is frame n as this endpoint sent or received it."""
 
     role: Role
     self_id: bytes
     peer_id: bytes
     master: sc.MasterKey
     rng: object
-    phase: Phase = Phase.INIT
-    ch_r: sc.Nonce | None = None
-    ch_t: sc.Nonce | None = None
-    channel: sc.ChannelState | None = None
-    _sent: dict = field(default_factory=dict)  # msg_no -> raw sent frame
-    _received: dict = field(default_factory=dict)  # msg_no -> raw received frame
+    phase: Phase = field(default=Phase.INIT, init=False)
+    ch_r: sc.Nonce | None = field(default=None, init=False)
+    ch_t: sc.Nonce | None = field(default=None, init=False)
+    channel: sc.ChannelState | None = field(default=None, init=False)
+    transcript: list = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         for name, pid in (("self_id", self.self_id), ("peer_id", self.peer_id)):
@@ -149,7 +149,7 @@ class HandshakeState:
 
     def _emit(self, msg_no: int, body: bytes) -> HandshakeMessage:
         msg = HandshakeMessage(msg_no, self.self_id, body)
-        self._sent[msg_no] = msg.to_bytes()
+        self.transcript.append(msg.to_bytes())
         return msg
 
     def _receive(self, raw: bytes, msg_no: int) -> HandshakeMessage:
@@ -157,8 +157,23 @@ class HandshakeState:
             msg = parse_frame(raw, expect_no=msg_no, expect_sender=self.peer_id)
         except MalformedMessage as exc:
             raise self._fail(exc)
-        self._received[msg_no] = raw
+        self.transcript.append(raw)
         return msg
+
+    def _peer_nonce(self, raw: bytes) -> sc.Nonce:
+        """The peer's challenge: a valid nonce, not the reader's own (None on the controller)."""
+        try:
+            nonce = sc.Nonce(raw)
+        except InvalidNonce as exc:
+            raise self._fail(exc)
+        if nonce == self.ch_r:
+            raise self._fail(InvalidNonce("peer challenge equals our challenge"))
+        return nonce
+
+    def _open_channel(self, phase: Phase) -> None:
+        """Both challenges are in: derive the session keys and key the record channel."""
+        self.channel = sc.ChannelState.for_keys(sc.derive_session_keys(self.master, self.ch_r, self.ch_t))
+        self.phase = phase
 
     # --- message 1: reader opens with its challenge ---
 
@@ -172,11 +187,7 @@ class HandshakeState:
 
     def controller_respond(self, msg1: bytes) -> HandshakeMessage:
         self._require(Role.CONTROLLER, Phase.INIT)
-        msg = self._receive(msg1, 1)
-        try:
-            self.ch_r = sc.Nonce(msg.body)
-        except InvalidNonce as exc:
-            raise self._fail(exc)
+        self.ch_r = self._peer_nonce(self._receive(msg1, 1).body)
         while True:
             self.ch_t = sc.new_nonce(self.rng)
             if self.ch_t.bytes != self.ch_r.bytes:
@@ -194,24 +205,17 @@ class HandshakeState:
         expected = challenge_plain(self.peer_id, self.ch_r)
         if sc.double_decrypt(self.master, chal) != expected:
             raise self._fail(AuthFailure("controller challenge response does not verify"))
-        try:
-            self.ch_t = sc.Nonce(ch_t_raw)
-        except InvalidNonce as exc:
-            raise self._fail(exc)
-        if self.ch_t.bytes == self.ch_r.bytes:
-            raise self._fail(InvalidNonce("peer challenge equals our challenge"))
+        self.ch_t = self._peer_nonce(ch_t_raw)
         answer = sc.double_decrypt(self.master, challenge_plain(self.self_id, self.ch_t))
-        self.channel = sc.ChannelState.for_keys(
-            sc.derive_session_keys(self.master, self.ch_r, self.ch_t)
-        )
-        self.phase = Phase.AUTHENTICATED
+        self._open_channel(Phase.AUTHENTICATED)
         return self._emit(3, answer)
 
     # --- messages 4 and 5: key confirmation over the new record channel ---
 
     def _seal_confirm(self, msg_no: int) -> HandshakeMessage:
-        # X (message 4) / X' (message 5): the two raw frames the peer sent us
-        view = self._received[msg_no - 3] + self._received[msg_no - 1]
+        # X (message 4) / X' (message 5): frames msg_no - 3 and msg_no - 1,
+        # which the sealer received and the opener sent
+        view = self.transcript[msg_no - 4] + self.transcript[msg_no - 2]
         record = sc.seal_record(self.channel, self.self_id + view, b"", self.rng)
         return self._emit(msg_no, encode_secure_payload(record))
 
@@ -224,7 +228,7 @@ class HandshakeState:
             raise self._fail(MalformedMessage("undecodable confirmation")) from exc
         except TagMismatch as exc:
             raise self._fail(KeyConfirmFailure("confirmation sealed under wrong key or tampered")) from exc
-        if plaintext != self.peer_id + self._sent[msg_no - 3] + self._sent[msg_no - 1]:
+        if plaintext != self.peer_id + self.transcript[msg_no - 4] + self.transcript[msg_no - 2]:
             raise self._fail(KeyConfirmFailure("transcript view diverges"))
 
     def controller_key_confirm(self, msg3: bytes) -> HandshakeMessage:
@@ -239,10 +243,7 @@ class HandshakeState:
         expected = challenge_plain(self.peer_id, self.ch_t)
         if sc.double_encrypt(self.master, msg.body) != expected:
             raise self._fail(AuthFailure("reader challenge answer does not verify"))
-        self.channel = sc.ChannelState.for_keys(
-            sc.derive_session_keys(self.master, self.ch_r, self.ch_t)
-        )
-        self.phase = Phase.KEY_CONFIRM_SENT
+        self._open_channel(Phase.KEY_CONFIRM_SENT)
         return self._seal_confirm(4)
 
     def reader_key_confirm(self, msg4: bytes) -> HandshakeMessage:

@@ -39,7 +39,6 @@ _KNOWN_FLAGS = FLAG_MB | FLAG_ME
 class RecordType(IntEnum):
     HANDSHAKE = 0x01
     SNDEF_SECURE = 0x02
-    DIAG_PLAIN = 0x03
 
 
 _TYPES = {int(t): t for t in RecordType}

@@ -81,7 +81,7 @@ def test_bitflip_on_sealed_record_flagged():
 
 def test_eavesdrop_sees_no_plaintext():
     reader_cfg, controller_cfg, workload = small_setup(8)
-    channel = adv.LinkChannel(strategy=adv.Eavesdrop())
+    channel = adv.LinkChannel(strategy=adv.STRATEGIES["eavesdrop"]())  # the honest link
     outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
     assert outcome.established
     assert outcome.secrecy_hits == []
@@ -187,7 +187,7 @@ class AppendRecord:
         if frame_no != self.frame_index:
             return wire
         records = sndef.decode_message(wire).records
-        extra = sndef.NdefRecord(sndef.RecordType.DIAG_PLAIN, b"extra")
+        extra = sndef.NdefRecord(records[0].type_code, b"extra")
         return sndef.encode_message(sndef.NdefMessage(records + [extra]))
 
 

@@ -63,7 +63,9 @@ VALID = {  # option -> files it accepts
     "scenario": [json.dumps({"duration_days": 1, "readouts": [{"start_s": 60, "length_s": 30}]})],
     "model": [json.dumps({"supply_voltage_v": 3.0})],
     "protocol": [cli._bundled("handshake.ban")],
-    "goals": [cli._bundled("handshake_goals.ban")],
+    # the bundled protocol's own goal lines, as a goals file
+    "goals": ["".join(line[len("goal "):] for line in cli._bundled("handshake.ban").splitlines(keepends=True)
+                      if line.startswith("goal "))],
 }
 FIXED = [
     b"",

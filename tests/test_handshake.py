@@ -347,7 +347,7 @@ def assert_bitflip_fails(rng: random.Random) -> None:
         m3 = maybe_flip(reader.reader_answer(m2).to_bytes(), 3)
         m4 = maybe_flip(controller.controller_key_confirm(m3).to_bytes(), 4)
         reader.reader_key_confirm(m4)
-        controller.controller_finalize(reader._sent[5])
+        controller.controller_finalize(reader.transcript[4])
     except (AuthFailure, MalformedMessage, KeyConfirmFailure, InvalidNonce):
         assert flipped_one
         return

@@ -23,14 +23,14 @@ def test_encode_length_is_sum_of_headers_and_payloads():
     msg = sndef.NdefMessage(
         [
             sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"abc"),
-            sndef.NdefRecord(sndef.RecordType.DIAG_PLAIN, b"0123456789"),
+            sndef.NdefRecord(sndef.RecordType.SNDEF_SECURE, b"0123456789"),
         ]
     )
     assert len(sndef.encode_message(msg)) == (6 + 3) + (6 + 10)
 
 
 def test_oversize_message_rejected():
-    big = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.DIAG_PLAIN, bytes(9000))])
+    big = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.SNDEF_SECURE, bytes(9000))])
     with pytest.raises(OversizeMessage):
         sndef.encode_message(big)
 
@@ -93,9 +93,9 @@ def test_trailing_bytes_after_me_rejected():
 
 
 def test_unknown_type_rejected():
-    raw = bytes([0x7F, 0xC0, 0, 0, 0, 0])
-    with pytest.raises(UnknownType):
-        sndef.decode_message(raw)
+    for type_code in (0x03, 0x7F):  # 0x03 is no longer a record type
+        with pytest.raises(UnknownType, match=f"record type 0x{type_code:02x}"):
+            sndef.decode_message(bytes([type_code, 0xC0, 0, 0, 0, 0]))
 
 
 def test_fuzz_sample_only_structured_errors():
@@ -133,8 +133,8 @@ def test_wrap_empty_add_data_payload_length():
 
 
 def test_unwrap_wrong_type_rejected():
-    wire = adv._wrap(sndef.RecordType.DIAG_PLAIN, b"\x00" * 50)
-    with pytest.raises(UnknownType, match="expected SNDEF_SECURE, got DIAG_PLAIN"):
+    wire = adv._wrap(sndef.RecordType.HANDSHAKE, b"\x00" * 50)
+    with pytest.raises(UnknownType, match="expected SNDEF_SECURE, got HANDSHAKE"):
         adv._unwrap(wire, sndef.RecordType.SNDEF_SECURE)
 
 
