@@ -580,6 +580,31 @@ def _labelled(text: str, symbols: SymbolTable) -> tuple[str, object]:
     return label.strip(), parse_statement(stmt_text.strip(), symbols)
 
 
+def _add_goal(goals: dict, text: str, symbols: SymbolTable) -> None:
+    """Parse a ``label: statement`` goal line into ``goals``; a label names one goal."""
+    label, stmt = _labelled(text, symbols)
+    if label in goals:
+        raise ParseError(f"goal label {label!r} appears twice", 0)
+    goals[label] = stmt
+
+
+def _declare(symbols: SymbolTable, head: str, rest: str) -> None:
+    """``principal|key|nonce NAME`` or ``sessionkey NAME from KEY``: exactly one
+    new name, and a session key's base key declared before it."""
+    p = _Parser(rest, symbols)
+    kind, name, at = p.next()
+    if kind != "ident":
+        raise ParseError(f"expected a name to declare, got {name or 'end of input'!r}", at)
+    if name in symbols.kinds:
+        raise ParseError(f"{name!r} is already declared", at)
+    base = None
+    if head == "sessionkey":
+        p.expect("from")
+        base = p.symbol(Key, "key name after 'from'").name
+    p.finish(None)
+    symbols.declare("key" if head == "sessionkey" else head, name, derived_from=base)
+
+
 def parse_protocol(text: str) -> ProtocolSpec:
     """Parse a protocol file: declarations, assumptions, messages, goals."""
     symbols = SymbolTable()
@@ -588,11 +613,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
     def directive(line: str) -> None:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head in _TERMS:
-            symbols.declare(head, rest)
-        elif head == "sessionkey":
-            name, _, base = rest.partition(" from ")
-            symbols.declare("key", name.strip(), derived_from=base.strip())
+        if head in _TERMS or head == "sessionkey":
+            _declare(symbols, head, rest)
         elif head == "assume":
             spec.assumptions.append(parse_statement(rest, symbols))
         elif head == "message":
@@ -601,8 +623,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
                 raise ParseError("message statements must be sees facts", 0)
             spec.messages.append((label, stmt))
         elif head == "goal":
-            label, stmt = _labelled(rest, symbols)
-            spec.goals[label] = stmt
+            _add_goal(spec.goals, rest, symbols)
         else:
             raise ParseError(f"unknown directive {head!r}", 0)
 
@@ -612,7 +633,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
 
 def parse_goals(text: str, symbols: SymbolTable) -> dict:
     goals = {}
-    _parse_lines(text, lambda line: goals.update([_labelled(line, symbols)]))
+    _parse_lines(text, lambda line: _add_goal(goals, line, symbols))
     return goals
 
 

@@ -101,15 +101,15 @@ class DiagPacket:
             raise RangeViolation(f"{len(self.reports)} reports, a packet carries at most {MAX_REPORTS}")
         if self.use_case == UseCase.IDLE_DIAG and len(self.reports) != 1:
             raise RangeViolation("idle diagnostic packets carry exactly one report")
+        seen = set()
+        for r in self.reports:
+            if r.pack_id in seen:
+                raise DuplicatePackId(f"pack id {r.pack_id.hex()} appears twice")
+            seen.add(r.pack_id)
 
 
 def collect_from_bpcs(reports: list, seq: int) -> DiagPacket:
     """Aggregate per-pack reports into one active-diagnostic packet."""
-    seen = set()
-    for r in reports:
-        if r.pack_id in seen:
-            raise DuplicatePackId(f"pack id {r.pack_id.hex()} appears twice")
-        seen.add(r.pack_id)
     return DiagPacket(
         use_case=UseCase.ACTIVE_DIAG,
         origin=Origin.BMS_CONTROLLER,

@@ -84,7 +84,7 @@ class EmptyInput(NfcBmsError):
 
 
 class DuplicatePackId(NfcBmsError):
-    """Two reports in one aggregation claim the same pack id."""
+    """Two reports in one packet claim the same pack id."""
 
 
 class RangeViolation(NfcBmsError):

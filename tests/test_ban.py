@@ -91,6 +91,34 @@ def test_parse_trailing_garbage():
         parse_statement("NR |= fresh(chr) extra")
 
 
+GOAL_LINES = "H: NR |= MN |= fresh(cht)\nH: MN |= NR |= NR <-KM-> MN\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (ban.parse_protocol, "principal NR\nkey NR\n", "line 2: 'NR' is already declared"),
+        (ban.parse_protocol, "nonce X\nnonce X\n", "line 2: 'X' is already declared"),
+        (ban.parse_protocol, "principal NR MN\n", "line 1: trailing input starting with 'MN'"),
+        (ban.parse_protocol, "key\n", "line 1: expected a name to declare, got 'end of input'"),
+        (ban.parse_protocol, "key KM\nsessionkey KS\n", "line 2: expected 'from', got 'end of input'"),
+        (ban.parse_protocol, "key KM\nsessionkey KS from KX\n", "line 2: undeclared symbol 'KX'"),
+        (ban.parse_protocol, "principal NR\nsessionkey KS from NR\n", "line 2: 'NR' is not a declared key"),
+        (ban.parse_protocol, "principal NR\nnonce n\n" + "goal G: NR |= fresh(n)\n" * 2,
+         "line 4: goal label 'G' appears twice"),
+        (lambda text: ban.parse_goals(text, BUNDLED_SYMBOLS), GOAL_LINES,
+         "line 2: goal label 'H' appears twice"),
+    ],
+    ids=["retyped-name", "redeclared-name", "two-names", "no-name", "sessionkey-without-from",
+         "sessionkey-from-undeclared", "sessionkey-from-principal", "protocol-goal-label-twice",
+         "goals-file-label-twice"],
+)
+def test_each_name_and_goal_label_is_declared_once(parse, text, message):
+    with pytest.raises(ban.ParseError) as excinfo:
+        parse(text)
+    assert excinfo.value.message == message
+
+
 def test_statement_rendering_roundtrips():
     texts = [
         "NR |= fresh(chr)",

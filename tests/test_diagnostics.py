@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from itertools import cycle, islice
 
 import pytest
@@ -74,10 +75,11 @@ def test_packet_carries_at_most_65535_reports():
             sequence_no=0,
         )
 
-    report = make_report(1)
-    packet([report] * dg.MAX_REPORTS)
+    # pack ids are distinct within a packet
+    reports = [replace(make_report(1), pack_id=n.to_bytes(8, "big")) for n in range(dg.MAX_REPORTS + 1)]
+    packet(reports[:-1])
     with pytest.raises(RangeViolation, match="at most 65535"):
-        packet([report] * (dg.MAX_REPORTS + 1))
+        packet(reports)
 
 
 # --- codec ---
@@ -128,7 +130,7 @@ report_strategy = st.builds(
 
 
 @given(
-    st.lists(report_strategy, min_size=1, max_size=5),
+    st.lists(report_strategy, min_size=1, max_size=5, unique_by=lambda r: r.pack_id),
     st.integers(min_value=0, max_value=(1 << 32) - 1),
 )
 def test_roundtrip_random_packets(reports, seq):
@@ -230,9 +232,10 @@ def test_packet_builds_iff_in_range_and_round_trips(use_case, origin, reports, s
         0 <= seq <= (1 << 32) - 1
         and len(reports) >= 1
         and (use_case != dg.UseCase.IDLE_DIAG or len(reports) == 1)
+        and len({r.pack_id for r in reports}) == len(reports)
     )
     if not in_range:
-        with pytest.raises((RangeViolation, EmptyInput)):
+        with pytest.raises((RangeViolation, EmptyInput, DuplicatePackId)):
             dg.DiagPacket(use_case, origin, tuple(reports), seq)
         return
     packet = dg.DiagPacket(use_case, origin, tuple(reports), seq)
@@ -248,6 +251,15 @@ def test_decode_truncated():
         dg.decode_diag(raw + b"\x00")
     with pytest.raises(Truncated):
         dg.decode_diag(raw[:5])
+
+
+def test_decode_repeated_pack_id_rejected():
+    raw = bytearray(dg.encode_diag(dg.collect_from_bpcs([make_report(1), make_report(2)], seq=0)))
+    second = dg.HEADER_LEN + dg.REPORT_FIXED_LEN + 2 * 4 + 1 + 2 * 2  # past report 1 of 4 cells, 2 temps
+    assert raw[second:second + 8] == bytes([2]) * 8
+    raw[second:second + 8] = bytes([1]) * 8
+    with pytest.raises(DuplicatePackId, match=f"pack id {'01' * 8} appears twice"):
+        dg.decode_diag(bytes(raw))
 
 
 def test_decode_bad_use_case():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import reference_crypto as ref
 from nfcbms import handshake as hs, secure_channel as sc
@@ -13,6 +15,7 @@ from nfcbms.errors import (
     InvalidNonce,
     KeyConfirmFailure,
     MalformedMessage,
+    NfcBmsError,
     WrongPhase,
 )
 
@@ -352,3 +355,92 @@ def assert_bitflip_fails(rng: random.Random) -> None:
         assert flipped_one
         return
     raise AssertionError("bit flip survived the handshake")
+
+
+# --- any step, in any order, on any frame ---
+
+LEGAL_STEPS = {  # step -> (role, phase before, phase after): each role's one path
+    "reader_start": (hs.Role.READER, hs.Phase.INIT, hs.Phase.CHALLENGED),
+    "reader_answer": (hs.Role.READER, hs.Phase.CHALLENGED, hs.Phase.AUTHENTICATED),
+    "reader_key_confirm": (hs.Role.READER, hs.Phase.AUTHENTICATED, hs.Phase.ESTABLISHED),
+    "controller_respond": (hs.Role.CONTROLLER, hs.Phase.INIT, hs.Phase.CHALLENGED),
+    "controller_key_confirm": (hs.Role.CONTROLLER, hs.Phase.CHALLENGED, hs.Phase.KEY_CONFIRM_SENT),
+    "controller_finalize": (hs.Role.CONTROLLER, hs.Phase.KEY_CONFIRM_SENT, hs.Phase.ESTABLISHED),
+}
+
+
+class HandshakeMachine(RuleBasedStateMachine):
+    """One reader and one controller; any step on either, fed the peer's last
+    frame, a bit-flipped or truncated copy of it, or random bytes."""
+
+    @initialize(seed=st.integers(0, 1 << 32))
+    def start(self, seed):
+        reader, controller = endpoints(seed)
+        self.endpoints = {hs.Role.READER: reader, hs.Role.CONTROLLER: controller}
+        self.last_sent = {}  # role -> the last frame that endpoint sent
+        self.failed = set()  # roles whose step raised on a peer frame
+
+    def peer_frame(self, role):
+        return self.last_sent.get(hs.Role.READER if role == hs.Role.CONTROLLER else hs.Role.CONTROLLER)
+
+    @rule()
+    def next_step(self):
+        """A legal step on the frame it awaits, if the peer sent that last, as an honest link delivers it."""
+        for step, (role, before, _) in LEGAL_STEPS.items():
+            endpoint, frame = self.endpoints[role], self.peer_frame(role)
+            awaited = step == "reader_start" or (frame and frame[0] == len(endpoint.transcript) + 1)
+            if endpoint.phase == before and awaited:
+                return self.run(role, step, frame)
+
+    @rule(
+        role=st.sampled_from(hs.Role),
+        step=st.sampled_from(sorted(LEGAL_STEPS)),
+        damage=st.sampled_from(["none", "flip", "truncate", "noise"]),
+        where=st.integers(0, 1 << 16),
+        noise=st.binary(max_size=80),
+    )
+    def any_step(self, role, step, damage, where, noise):
+        frame = self.peer_frame(role)
+        if frame is None or damage == "noise":
+            frame = noise
+        elif damage == "flip":
+            bit = where % (8 * len(frame))
+            frame = frame[:bit // 8] + bytes([frame[bit // 8] ^ 1 << bit % 8]) + frame[bit // 8 + 1:]
+        elif damage == "truncate":
+            frame = frame[:where % len(frame)]
+        self.run(role, step, frame)
+
+    def run(self, role, step, frame):
+        endpoint = self.endpoints[role]
+        phase, transcript = endpoint.phase, list(endpoint.transcript)
+        try:
+            reply = getattr(endpoint, step)(*(() if step == "reader_start" else (frame,)))
+        except WrongPhase:
+            assert (endpoint.phase, endpoint.transcript) == (phase, transcript)
+            assert LEGAL_STEPS[step][:2] != (role, phase)
+            return
+        except NfcBmsError:
+            assert role not in self.failed  # a failed endpoint only ever raises WrongPhase
+            assert endpoint.phase == hs.Phase.FAILED
+            self.failed.add(role)
+            return
+        assert role not in self.failed
+        assert LEGAL_STEPS[step] == (role, phase, endpoint.phase)
+        if reply is not None:
+            self.last_sent[role] = reply.to_bytes()
+
+    @invariant()
+    def transcript_entry_n_is_frame_n_plus_1(self):
+        for endpoint in self.endpoints.values():
+            assert [frame[0] for frame in endpoint.transcript] == list(range(1, len(endpoint.transcript) + 1))
+
+    @invariant()
+    def established_endpoints_agree(self):
+        reader, controller = self.endpoints.values()
+        if reader.phase == controller.phase == hs.Phase.ESTABLISHED:
+            assert reader.transcript == controller.transcript
+            assert reader.session_keys == controller.session_keys
+
+
+HandshakeMachine.TestCase.settings = settings(max_examples=80, stateful_step_count=20, deadline=None)
+TestHandshakeMachine = HandshakeMachine.TestCase

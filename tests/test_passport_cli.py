@@ -450,6 +450,19 @@ def test_cli_readout_rejects_more_reports_than_the_count_field_holds(tmp_path, c
     assert err == "error: bad reports file: 65536 reports, a packet carries at most 65535\n"
 
 
+def test_cli_history_store_line_repeating_a_pack_id_exit3(tmp_path, capsys):
+    # pack ids are distinct within a packet, so a stored packet that repeats one is corrupt
+    line = make_entry(1, 100).to_json()
+    line["source"] = line["diag"]["use_case"] = "ACTIVE_DIAG"
+    line["diag"]["origin"] = "BMS_CONTROLLER"
+    line["diag"]["reports"] *= 2
+    store = tmp_path / "s.ndjson"
+    store.write_text(json.dumps(line) + "\n")
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err == f"store error: {store}:1: corrupt entry: pack id {'01' * 8} appears twice\n"
+
+
 def test_cli_history_deeply_nested_store_line_is_corruption(tmp_path, capsys):
     store = tmp_path / "s.ndjson"
     store.write_text(DEEP_JSON + "\n")
@@ -673,6 +686,28 @@ def test_cli_ban_verify_deeply_nested_statement_is_parse_error(statement, positi
     code, err = run_cli_error(["ban-verify", "--protocol", str(protocol)], capsys)
     assert code == 2
     assert err == f"error: parse error: line 2: statement longer than 128 tokens (at position {position})\n"
+
+
+@pytest.mark.parametrize(
+    "protocol, goals, expected",
+    [
+        ("principal NR\n", None,
+         "error: no goals: the protocol has no goal lines and no --goals file was given\n"),
+        (None, "# no goal lines\n", "error: no goals: the goals file has none\n"),
+        (None, "H: NR |= MN |= fresh(cht)\nH: MN |= NR |= NR <-KM-> MN\n",
+         "error: parse error: line 2: goal label 'H' appears twice (at position 0)\n"),
+    ],
+    ids=["protocol-without-goals", "empty-goals-file", "goals-file-repeats-a-label"],
+)
+def test_cli_ban_verify_needs_goals_each_with_one_label(protocol, goals, expected, tmp_path, capsys):
+    argv = ["ban-verify"]
+    for option, text in (("--protocol", protocol), ("--goals", goals)):
+        if text is not None:
+            (tmp_path / option[2:]).write_text(text)
+            argv += [option, str(tmp_path / option[2:])]
+    code, err = run_cli_error(argv, capsys)
+    assert code == 2
+    assert err == expected
 
 
 @pytest.mark.parametrize("depth", ["0", "-3"])
