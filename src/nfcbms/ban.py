@@ -593,7 +593,7 @@ def _declare(symbols: SymbolTable, head: str, rest: str) -> None:
     new name, and a session key's base key declared before it."""
     p = _Parser(rest, symbols)
     kind, name, at = p.next()
-    if kind != "ident":
+    if kind != "ident" or name == "fresh":  # the keyword could never be read as a symbol
         raise ParseError(f"expected a name to declare, got {name or 'end of input'!r}", at)
     if name in symbols.kinds:
         raise ParseError(f"{name!r} is already declared", at)

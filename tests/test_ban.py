@@ -101,6 +101,7 @@ GOAL_LINES = "H: NR |= MN |= fresh(cht)\nH: MN |= NR |= NR <-KM-> MN\n"
         (ban.parse_protocol, "nonce X\nnonce X\n", "line 2: 'X' is already declared"),
         (ban.parse_protocol, "principal NR MN\n", "line 1: trailing input starting with 'MN'"),
         (ban.parse_protocol, "key\n", "line 1: expected a name to declare, got 'end of input'"),
+        (ban.parse_protocol, "nonce fresh\n", "line 1: expected a name to declare, got 'fresh'"),
         (ban.parse_protocol, "key KM\nsessionkey KS\n", "line 2: expected 'from', got 'end of input'"),
         (ban.parse_protocol, "key KM\nsessionkey KS from KX\n", "line 2: undeclared symbol 'KX'"),
         (ban.parse_protocol, "principal NR\nsessionkey KS from NR\n", "line 2: 'NR' is not a declared key"),
@@ -109,7 +110,7 @@ GOAL_LINES = "H: NR |= MN |= fresh(cht)\nH: MN |= NR |= NR <-KM-> MN\n"
         (lambda text: ban.parse_goals(text, BUNDLED_SYMBOLS), GOAL_LINES,
          "line 2: goal label 'H' appears twice"),
     ],
-    ids=["retyped-name", "redeclared-name", "two-names", "no-name", "sessionkey-without-from",
+    ids=["retyped-name", "redeclared-name", "two-names", "no-name", "keyword-name", "sessionkey-without-from",
          "sessionkey-from-undeclared", "sessionkey-from-principal", "protocol-goal-label-twice",
          "goals-file-label-twice"],
 )

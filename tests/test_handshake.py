@@ -430,7 +430,7 @@ class HandshakeMachine(RuleBasedStateMachine):
             self.last_sent[role] = reply.to_bytes()
 
     @invariant()
-    def transcript_entry_n_is_frame_n_plus_1(self):
+    def transcript_entry_i_holds_frame_i_plus_1(self):
         for endpoint in self.endpoints.values():
             assert [frame[0] for frame in endpoint.transcript] == list(range(1, len(endpoint.transcript) + 1))
 
