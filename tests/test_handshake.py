@@ -257,6 +257,21 @@ def test_replayed_message5_from_other_session_fails():
         controller_b.controller_finalize(frames_a[4])
 
 
+def test_message4_reflected_as_message5_diverges_from_the_transcript():
+    # both chains start at the zero sentinel under one k_mac, so the
+    # controller's own message 4, re-headed as the reader's message 5,
+    # passes the tag check: only the transcript comparison stops it
+    reader, controller = endpoints(16)
+    m1 = reader.reader_start().to_bytes()
+    m2 = controller.controller_respond(m1).to_bytes()
+    m3 = reader.reader_answer(m2).to_bytes()
+    m4 = controller.controller_key_confirm(m3)
+    reflected = hs.HandshakeMessage(5, READER_ID, m4.body).to_bytes()
+    with pytest.raises(KeyConfirmFailure, match="^transcript view diverges$"):
+        controller.controller_finalize(reflected)
+    assert controller.phase == hs.Phase.FAILED
+
+
 def test_truncated_message5_is_malformed():
     reader, controller = endpoints(15)
     m1 = reader.reader_start().to_bytes()
