@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from . import diagnostics, handshake as hs, secure_channel as sc, sndef
-from .errors import BadFlags, NfcBmsError, UnknownType
+from .errors import NfcBmsError, UnknownType
 
 SECRECY_WINDOW = 8
 # a session walks the transcript once for one set of windows only if one of
@@ -96,7 +96,7 @@ class Reflect:
             self._msg2_chal = _unwrap(wire, sndef.RecordType.HANDSHAKE)[hs.FRAME_HEADER_LEN + 16:]
         if frame_no == 3 and self._msg2_chal is not None:
             forged = hs.HandshakeMessage(3, self._reader_id, self._msg2_chal).to_bytes()
-            return _wrap(sndef.RecordType.HANDSHAKE, forged)
+            return sndef.encode_message(sndef.RecordType.HANDSHAKE, forged)
         return wire
 
 
@@ -193,19 +193,12 @@ def _attempt(outcome: SessionOutcome, frame_no: int, operation: str, fn):
         return None
 
 
-def _wrap(type_code: sndef.RecordType, payload: bytes) -> bytes:
-    """A link frame: a one-record NDEF message."""
-    return sndef.encode_message(sndef.NdefMessage([sndef.NdefRecord(type_code, payload)]))
-
-
 def _unwrap(wire: bytes, type_code: sndef.RecordType) -> bytes:
     """The payload of the one record, of type ``type_code``, a link frame carries."""
-    records = sndef.decode_message(wire).records
-    if len(records) != 1:
-        raise BadFlags(f"a link frame is one record, got {len(records)}")
-    if records[0].type_code != type_code:
-        raise UnknownType(f"expected {type_code.name}, got {records[0].type_code.name}")
-    return records[0].payload
+    record = sndef.decode_message(wire).records[0]
+    if record.type_code != type_code:
+        raise UnknownType(f"expected {type_code.name}, got {record.type_code.name}")
+    return record.payload
 
 
 def _words(data: bytes):
@@ -291,7 +284,7 @@ def drive_session(
 
     frame = reader.reader_start().to_bytes()
     for msg_no, direction, operation in HANDSHAKE_FLOW:
-        wire = channel.transfer(direction, _wrap(handshake, frame))
+        wire = channel.transfer(direction, sndef.encode_message(handshake, frame))
         receive = getattr(controller if direction.endswith("controller") else reader, operation)
         reply = _attempt(outcome, msg_no, operation, lambda: receive(_unwrap(wire, handshake)))
         if reply is None:  # a failure, or the final step, which sends nothing
@@ -302,7 +295,7 @@ def drive_session(
 
     if outcome.established:
         for frame_no, plain in enumerate(session.plaintexts, start=6):
-            sealed = _attempt(outcome, frame_no, "seal_record", lambda: _wrap(
+            sealed = _attempt(outcome, frame_no, "seal_record", lambda: sndef.encode_message(
                 secure, sndef.encode_secure_payload(sc.seal_record(controller.channel, plain, b"", controller.rng))
             ))
             if sealed is None:

@@ -1,14 +1,11 @@
 """NDEF-style framing for the simulated link.
 
 Real NFC Forum NDEF carries TNF/type-name machinery this simulator does
-not need, so records here use a compact fixed header:
+not need, so records here use a compact fixed header.  A link frame is
+exactly one record, the first and the last of its message, so MB and ME
+are both set:
 
-    record  := type_code(1) | flags(1) | payload_len(4, BE) | payload
-    message := record+            (MB set on first, ME set on last)
-
-MB and ME are positional: a record carries no flags of its own, the
-encoder writes them from its place in the message and the decoder
-checks them.
+    frame := type_code(1) | flags(1) = MB|ME | payload_len(4, BE) | payload
 
 Secure records travel as a ``SNDEF_SECURE`` payload:
 
@@ -24,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import BadFlags, EmptyInput, OversizeMessage, Truncated, UnknownType
+from .errors import BadFlags, OversizeMessage, Truncated, UnknownType
 from .secure_channel import SecureRecord
 
 RECORD_HEADER_LEN = 6
@@ -53,59 +50,45 @@ class NdefRecord:
 
 @dataclass
 class NdefMessage:
-    """Ordered records; MB and ME follow from their positions."""
+    """A decoded link frame.  ``records`` always holds its one record; the
+    list is kept only for the benchmark's ``.records[0]`` read."""
 
     records: list[NdefRecord]
 
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise EmptyInput("a message needs at least one record")
 
-
-def encode_message(msg: NdefMessage) -> bytes:
-    last = len(msg.records) - 1
-    out = b"".join([
-        _HEADER.pack(rec.type_code, FLAG_MB * (i == 0) | FLAG_ME * (i == last), len(rec.payload))
-        + rec.payload
-        for i, rec in enumerate(msg.records)
-    ])
-    if len(out) > MAX_MESSAGE:
-        raise OversizeMessage(f"encoded message is {len(out)} bytes, cap is {MAX_MESSAGE}")
-    return out
+def encode_message(type_code: RecordType, payload: bytes) -> bytes:
+    """A link frame: one record of ``type_code`` carrying ``payload``."""
+    size = RECORD_HEADER_LEN + len(payload)
+    if size > MAX_MESSAGE:
+        raise OversizeMessage(f"encoded message is {size} bytes, cap is {MAX_MESSAGE}")
+    return _HEADER.pack(type_code, FLAG_MB | FLAG_ME, len(payload)) + payload
 
 
 def decode_message(raw: bytes) -> NdefMessage:
-    """Parse a full message; rejects anything structurally off.
+    """Parse one link frame; rejects anything structurally off.
 
-    Never reads past a declared length and never loops without
-    consuming input, so arbitrary fuzz input yields a structured error
-    or a valid message.
+    Never reads past a declared length, so arbitrary fuzz input yields a
+    structured error or the frame's one record.  A second record after
+    the first is data after ME.
     """
-    records: list[NdefRecord] = []
-    pos = 0
-    n = len(raw)
-    while True:
-        if n - pos < RECORD_HEADER_LEN:
-            raise Truncated("record header runs past end of input")
-        type_code, flags, payload_len = _HEADER.unpack_from(raw, pos)
-        pos += RECORD_HEADER_LEN
-        rtype = _TYPES.get(type_code)
-        if rtype is None:
-            raise UnknownType(f"record type 0x{type_code:02x}")
-        if flags & ~_KNOWN_FLAGS:
-            raise BadFlags(f"undefined flag bits 0x{flags:02x}")
-        if payload_len > n - pos:
-            raise Truncated("declared payload runs past end of input")
-        if bool(flags & FLAG_MB) != (not records):
-            raise BadFlags("MB must be set on exactly the first record")
-        records.append(NdefRecord(rtype, raw[pos:pos + payload_len]))
-        pos += payload_len
-        if flags & FLAG_ME:
-            if pos != n:
-                raise BadFlags("data continues after the ME record")
-            return NdefMessage(records)
-        if pos == n:
-            raise BadFlags("final record lacks ME")
+    if len(raw) < RECORD_HEADER_LEN:
+        raise Truncated("record header runs past end of input")
+    type_code, flags, payload_len = _HEADER.unpack_from(raw)
+    rtype = _TYPES.get(type_code)
+    if rtype is None:
+        raise UnknownType(f"record type 0x{type_code:02x}")
+    if flags & ~_KNOWN_FLAGS:
+        raise BadFlags(f"undefined flag bits 0x{flags:02x}")
+    end = RECORD_HEADER_LEN + payload_len
+    if end > len(raw):
+        raise Truncated("declared payload runs past end of input")
+    if not flags & FLAG_MB:
+        raise BadFlags("MB must be set on exactly the first record")
+    if not flags & FLAG_ME:
+        raise BadFlags("final record lacks ME")
+    if end != len(raw):
+        raise BadFlags("data continues after the ME record")
+    return NdefMessage([NdefRecord(rtype, raw[RECORD_HEADER_LEN:end])])
 
 
 def encode_secure_payload(record: SecureRecord) -> bytes:

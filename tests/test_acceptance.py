@@ -205,11 +205,7 @@ def test_criterion_7_ban_reproduction():
 
 def test_criterion_8_codec_totality():
     rng = random.Random(808)
-    valid_msg = sndef.encode_message(
-        sndef.NdefMessage(
-            [sndef.NdefRecord(sndef.RecordType.HANDSHAKE, rng.randbytes(24))]
-        )
-    )
+    valid_msg = sndef.encode_message(sndef.RecordType.HANDSHAKE, rng.randbytes(24))
     parsed_messages = 0
     for i in range(100_000):
         if i % 3 == 0:

@@ -186,9 +186,9 @@ class AppendRecord:
     def on_frame(self, frame_no: int, direction: str, wire: bytes) -> bytes:
         if frame_no != self.frame_index:
             return wire
-        records = sndef.decode_message(wire).records
-        extra = sndef.NdefRecord(records[0].type_code, b"extra")
-        return sndef.encode_message(sndef.NdefMessage(records + [extra]))
+        # a well-formed two-record NDEF message: MB on the first record only, ME on the last only
+        extra = sndef.encode_message(sndef.RecordType(wire[0]), b"extra")
+        return bytes([wire[0], sndef.FLAG_MB]) + wire[2:] + bytes([extra[0], sndef.FLAG_ME]) + extra[2:]
 
 
 @dataclass
@@ -203,7 +203,7 @@ class Retype:
         (record,) = sndef.decode_message(wire).records
         handshake, secure = sndef.RecordType.HANDSHAKE, sndef.RecordType.SNDEF_SECURE
         retyped = secure if record.type_code == handshake else handshake
-        return sndef.encode_message(sndef.NdefMessage([sndef.NdefRecord(retyped, record.payload)]))
+        return sndef.encode_message(retyped, record.payload)
 
 
 # a failure is reported at the message the receiving step would send, and
@@ -223,6 +223,7 @@ def test_link_frame_with_two_records_is_rejected(frame_index, message, operation
     outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
     failure = outcome.first_failure
     assert (failure.frame_no, failure.operation, failure.error) == (message, operation, "BadFlags")
+    assert failure.detail == "final record lacks ME"
     assert outcome.packets_delivered == 0
 
 

@@ -8,64 +8,58 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nfcbms import adversary as adv, sndef
-from nfcbms.errors import BadFlags, EmptyInput, OversizeMessage, Truncated, UnknownType
+from nfcbms.errors import BadFlags, OversizeMessage, Truncated, UnknownType
 from nfcbms.secure_channel import SecureRecord
 
 
 def test_single_empty_record_is_six_bytes_with_mb_me():
-    msg = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"")])
-    raw = sndef.encode_message(msg)
+    raw = sndef.encode_message(sndef.RecordType.HANDSHAKE, b"")
     assert len(raw) == 6
     assert raw[1] == sndef.FLAG_MB | sndef.FLAG_ME
 
 
-def test_encode_length_is_sum_of_headers_and_payloads():
-    msg = sndef.NdefMessage(
-        [
-            sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"abc"),
-            sndef.NdefRecord(sndef.RecordType.SNDEF_SECURE, b"0123456789"),
-        ]
-    )
-    assert len(sndef.encode_message(msg)) == (6 + 3) + (6 + 10)
+def test_two_record_frame_rejected():
+    # as a multi-record encoder wrote it: MB on the first record only, ME on the second only
+    first = bytes([sndef.RecordType.HANDSHAKE, sndef.FLAG_MB, 0, 0, 0, 3]) + b"abc"
+    second = bytes([sndef.RecordType.SNDEF_SECURE, sndef.FLAG_ME, 0, 0, 0, 10]) + b"0123456789"
+    with pytest.raises(BadFlags, match="^final record lacks ME$"):
+        sndef.decode_message(first + second)
+    # a whole frame followed by a second record
+    whole = sndef.encode_message(sndef.RecordType.HANDSHAKE, b"abc")
+    with pytest.raises(BadFlags, match="^data continues after the ME record$"):
+        sndef.decode_message(whole + second)
 
 
 def test_oversize_message_rejected():
-    big = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.SNDEF_SECURE, bytes(9000))])
+    largest = sndef.MAX_MESSAGE - sndef.RECORD_HEADER_LEN
+    assert len(sndef.encode_message(sndef.RecordType.SNDEF_SECURE, bytes(largest))) == sndef.MAX_MESSAGE
+    with pytest.raises(OversizeMessage, match="^encoded message is 8193 bytes, cap is 8192$"):
+        sndef.encode_message(sndef.RecordType.SNDEF_SECURE, bytes(largest + 1))
     with pytest.raises(OversizeMessage):
-        sndef.encode_message(big)
-
-
-def test_empty_message_rejected():
-    with pytest.raises(EmptyInput):
-        sndef.NdefMessage([])
+        sndef.encode_message(sndef.RecordType.SNDEF_SECURE, bytes(9000))
 
 
 @given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(list(sndef.RecordType)),
-            st.binary(max_size=200),
-        ),
-        min_size=1,
-        max_size=6,
-    )
+    st.sampled_from(list(sndef.RecordType)),
+    st.binary(max_size=200),
+    st.binary(max_size=8),
 )
-def test_roundtrip_random_messages(specs):
-    msg = sndef.NdefMessage([sndef.NdefRecord(t, p) for t, p in specs])
-    raw = sndef.encode_message(msg)
-    decoded = sndef.decode_message(raw)
-    assert decoded.records == msg.records
-    # the encoder owns the flag rule: MB on the first record only, ME on the last only
-    pos, last = 0, len(specs) - 1
-    for i, (_, payload) in enumerate(specs):
-        assert raw[pos + 1] == (sndef.FLAG_MB if i == 0 else 0) | (sndef.FLAG_ME if i == last else 0)
-        pos += sndef.RECORD_HEADER_LEN + len(payload)
-    assert pos == len(raw)
+def test_roundtrip_random_messages(type_code, payload, noise):
+    raw = sndef.encode_message(type_code, payload)
+    assert raw[1] == sndef.FLAG_MB | sndef.FLAG_ME
+    assert len(raw) == sndef.RECORD_HEADER_LEN + len(payload)
+    assert sndef.decode_message(raw).records == [sndef.NdefRecord(type_code, payload)]
+    # with its header overwritten, a frame decodes only to the record it encodes
+    mutated = noise + raw[len(noise):]
+    try:
+        (record,) = sndef.decode_message(mutated).records
+    except (Truncated, BadFlags, UnknownType):
+        return
+    assert sndef.encode_message(record.type_code, record.payload) == mutated
 
 
 def test_truncated_payload_rejected():
-    msg = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"abcdef")])
-    raw = sndef.encode_message(msg)
+    raw = sndef.encode_message(sndef.RecordType.HANDSHAKE, b"abcdef")
     with pytest.raises(Truncated):
         sndef.decode_message(raw[:-1])
     with pytest.raises(Truncated):
@@ -73,21 +67,14 @@ def test_truncated_payload_rejected():
 
 
 def test_missing_me_rejected():
-    msg = sndef.NdefMessage(
-        [
-            sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"a"),
-            sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"b"),
-        ]
-    )
-    raw = bytearray(sndef.encode_message(msg))
-    raw[7 + 1] &= ~sndef.FLAG_ME & 0xFF  # clear ME on the second record
-    with pytest.raises(BadFlags):
+    raw = bytearray(sndef.encode_message(sndef.RecordType.HANDSHAKE, b"a"))
+    raw[1] &= ~sndef.FLAG_ME & 0xFF
+    with pytest.raises(BadFlags, match="^final record lacks ME$"):
         sndef.decode_message(bytes(raw))
 
 
 def test_trailing_bytes_after_me_rejected():
-    msg = sndef.NdefMessage([sndef.NdefRecord(sndef.RecordType.HANDSHAKE, b"a")])
-    raw = sndef.encode_message(msg) + b"\x00"
+    raw = sndef.encode_message(sndef.RecordType.HANDSHAKE, b"a") + b"\x00"
     with pytest.raises(BadFlags):
         sndef.decode_message(raw)
 
@@ -123,7 +110,7 @@ def test_wrap_unwrap_roundtrip():
     # a sealed record through the link-frame codec and back
     rec = make_record()
     secure = sndef.RecordType.SNDEF_SECURE
-    wire = adv._wrap(secure, sndef.encode_secure_payload(rec))
+    wire = sndef.encode_message(secure, sndef.encode_secure_payload(rec))
     assert sndef.decode_secure_payload(adv._unwrap(wire, secure)) == rec
 
 
@@ -133,7 +120,7 @@ def test_wrap_empty_add_data_payload_length():
 
 
 def test_unwrap_wrong_type_rejected():
-    wire = adv._wrap(sndef.RecordType.HANDSHAKE, b"\x00" * 50)
+    wire = sndef.encode_message(sndef.RecordType.HANDSHAKE, b"\x00" * 50)
     with pytest.raises(UnknownType, match="expected SNDEF_SECURE, got HANDSHAKE"):
         adv._unwrap(wire, sndef.RecordType.SNDEF_SECURE)
 
