@@ -93,8 +93,6 @@ class PassportStore:
             text = text[:text.rfind("\n") + 1]  # skip the uncommitted tail
         out = []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
             try:
                 out.append(PassportEntry.from_json(json.loads(line)))
             except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:

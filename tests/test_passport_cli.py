@@ -463,6 +463,17 @@ def test_cli_history_store_line_repeating_a_pack_id_exit3(tmp_path, capsys):
     assert err == f"store error: {store}:1: corrupt entry: pack id {'01' * 8} appears twice\n"
 
 
+@pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+def test_cli_history_blank_store_line_is_corruption(blank, tmp_path, capsys):
+    # appends never write a blank line, so one between two entries is not a valid entry
+    entry = json.dumps(make_entry(1, 100).to_json())
+    store = tmp_path / "s.ndjson"
+    store.write_text(f"{entry}\n{blank}\n{entry}\n")
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err == f"store error: {store}:2: corrupt entry: Expecting value: line 1 column {len(blank) + 1} (char {len(blank)})\n"
+
+
 def test_cli_history_deeply_nested_store_line_is_corruption(tmp_path, capsys):
     store = tmp_path / "s.ndjson"
     store.write_text(DEEP_JSON + "\n")
@@ -570,12 +581,18 @@ BAD_MODEL = "error: bad model file: "  # a power model is range-checked when the
          BAD_SCENARIO_FILE),
         (["--scenario", "s.json"], {"s.json": '{"duration_days": null}'}, BAD_SCENARIO_FILE),
         (["--model", "m.json"], {"m.json": '{"supply_voltage_v": true}'}, BAD_MODEL),
+        (["--scenario", "s.json"],
+         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": -1, "length_s": 60}]}'},
+         BAD_SCENARIO + "readout windows need positive length and start >= 0\n"),
+        (["--scenario", "s.json"],
+         {"s.json": '{"duration_days": 1, "readouts": [{"start_s": 3600, "length_s": 0}]}'},
+         BAD_SCENARIO + "readout windows need positive length and start >= 0\n"),
     ],
     ids=["days-nan", "days-inf", "days-1e300", "days-1e-12",
          "start-nan", "duration-inf", "duration-infinity", "model-not-a-number",
          "model-huge-current", "model-power-past-64-bits", "model-huge-latency",
          "model-int-past-float-range", "duration-string", "start-string", "length-bool",
-         "duration-null", "model-bool"],
+         "duration-null", "model-bool", "start-negative", "length-zero"],
 )
 def test_cli_wakeup_sim_rejects_out_of_range_input(argv, files, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -696,8 +713,13 @@ def test_cli_ban_verify_deeply_nested_statement_is_parse_error(statement, positi
         (None, "# no goal lines\n", "error: no goals: the goals file has none\n"),
         (None, "H: NR |= MN |= fresh(cht)\nH: MN |= NR |= NR <-KM-> MN\n",
          "error: parse error: line 2: goal label 'H' appears twice (at position 0)\n"),
+        ("principal NR\nnonce chr\nmessage m1: NR |= fresh(chr)\ngoal G: NR |= fresh(chr)\n", None,
+         "error: parse error: line 3: message statements must be sees facts (at position 0)\n"),
+        ("principal NR\nassume NR |= $\n", None,
+         "error: parse error: line 2: unexpected character '$' (at position 6)\n"),
     ],
-    ids=["protocol-without-goals", "empty-goals-file", "goals-file-repeats-a-label"],
+    ids=["protocol-without-goals", "empty-goals-file", "goals-file-repeats-a-label",
+         "message-not-a-sees-fact", "stray-dollar"],
 )
 def test_cli_ban_verify_needs_goals_each_with_one_label(protocol, goals, expected, tmp_path, capsys):
     argv = ["ban-verify"]
