@@ -2,10 +2,12 @@
 
 Real NFC Forum NDEF carries TNF/type-name machinery this simulator does
 not need, so records here use a compact fixed header.  A link frame is
-exactly one record, the first and the last of its message, so MB and ME
-are both set:
+exactly one record:
 
-    frame := type_code(1) | flags(1) = MB|ME | payload_len(4, BE) | payload
+    frame := type_code(1) | flags(1) | payload_len(4, BE) | payload
+
+The record is both the first and the last of its message, so its flags
+are MB | ME.
 
 Secure records travel as a ``SNDEF_SECURE`` payload:
 
