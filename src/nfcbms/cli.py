@@ -5,6 +5,11 @@ Every command is deterministic under --seed, reports never contain key
 material, and JSON reports use sorted keys so identical runs produce
 byte-identical output.
 
+``main`` may be called many times in one process.  The parser is built
+on the first call and reused by every later one, so none of its defaults
+is read from the environment: ``--store`` falls back to
+``BMS_STORE_PATH`` when each command runs.
+
 Exit codes (frozen for scripting):
 
     0  success
@@ -17,6 +22,7 @@ Exit codes (frozen for scripting):
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -91,6 +97,11 @@ def _session(args, reader_key, controller_key, packets: list):
     return channel, session
 
 
+def _store(args) -> passport.PassportStore:
+    """The store named by ``--store``, else by ``BMS_STORE_PATH`` read as the command runs."""
+    return passport.PassportStore(passport.default_store_path() if args.store is None else args.store)
+
+
 # --- handshake ---
 
 
@@ -150,7 +161,7 @@ def cmd_readout(args) -> int:
 
     reader = session.reader
     session_id = hashlib.sha256(reader.ch_r.bytes + reader.ch_t.bytes).hexdigest()[:16]
-    store = passport.PassportStore(args.store)
+    store = _store(args)
     appended = []
     for packet in session.received:
         entry = passport.PassportEntry(
@@ -184,8 +195,7 @@ def cmd_history(args) -> int:
         raise UsageError(f"pack id must be hex: {exc}") from exc
     if len(pack_id) != diagnostics.PACK_ID_LEN:
         raise UsageError(f"pack id must be {diagnostics.PACK_ID_LEN} bytes, got {len(pack_id)}")
-    store = passport.PassportStore(args.store)
-    entries = store.history(pack_id)
+    entries = _store(args).history(pack_id)
     payload = {
         "command": "history",
         "pack_id": pack_id.hex(),
@@ -342,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("readout", cmd_readout, "secure diagnostic readout into the passport store")
     p.add_argument("--mode", choices=("idle", "active"), required=True)
     p.add_argument("--reports", required=True, help="JSON file with BPC reports")
-    p.add_argument("--store", default=str(passport.default_store_path()))
+    p.add_argument("--store")
 
     p = command("history", cmd_history, "query the passport store for one pack")
     p.add_argument("pack_id", help="pack id (hex)")
-    p.add_argument("--store", default=str(passport.default_store_path()))
+    p.add_argument("--store")
 
     p = command("wakeup-sim", cmd_wakeup_sim, "compare the wake-up designs")
     p.add_argument("--method", choices=("ed", "eh", "both"), default="both")
@@ -371,9 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main and reused by every later call; importing builds nothing
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.key is not None and args.key_file is not None:
             raise UsageError("give --key or --key-file, not both")

@@ -143,6 +143,79 @@ def test_goldens_cover_the_expected_exit_codes():
     assert oversize["files"]["store.ndjson"] is None
 
 
+# --- one parser for every call of main in a process ---
+
+
+def _main(argv: list, capsys) -> tuple[int, str, str]:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh(argv: list, capsys) -> tuple[int, str, str]:
+    """What a freshly built parser does with ``argv``: exit code, stdout, stderr."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        code = args.fn(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_carries_no_flag_into_the_next_command(capsys):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    code, out, _ = _main(["--format", "text", "--seed", "7", "--key", KEY, "handshake"], capsys)
+    assert (code, out) == (0, golden["handshake-text"]["commands"][0]["stdout"])
+    argv = golden["handshake-mismatched-key"]["commands"][0]["argv"]  # seed 0, JSON
+    code, out, _ = _main(argv, capsys)
+    assert (code, out) == (1, golden["handshake-mismatched-key"]["commands"][0]["stdout"])
+    _main(["--format", "text", "--seed", "7", "handshake"], capsys)
+    code, out, _ = _main(["handshake"], capsys)
+    assert json.loads(out)["seed"] == 0
+    assert (code, out) == _fresh(["handshake"], capsys)[:2]
+
+
+@pytest.mark.parametrize("bad", [
+    ["--seed", "x", "handshake"],
+    ["--format", "xml", "--seed", "9", "handshake"],
+    ["--seed", "9", "readout", "--mode", "idle"],
+    ["history"],
+    ["nope"],
+])
+def test_a_usage_error_leaves_the_parser_as_it_was(bad, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    error = _main(bad, capsys)
+    assert error[0] == 2
+    assert error == _fresh(bad, capsys)
+    assert run_case(CASES["history"], tmp_path) == golden["history"]
+
+
+def test_help_is_wrapped_to_the_width_when_it_is_printed(monkeypatch, capsys):
+    helps = {}
+    for columns in ("60", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["readout", "--help"]):
+            cached = _main(argv, capsys)
+            assert cached[0] == 0
+            assert cached == _fresh(argv, capsys)
+            helps[columns, argv[0]] = cached[1]
+    assert helps["60", "--help"] != helps["100", "--help"]
+
+
+def test_goldens_hold_when_the_cases_run_in_reverse_order(tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name in sorted(CASES, reverse=True):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert run_case(CASES[name], workdir) == golden[name], name
+
+
 def record() -> None:
     golden = {}
     start = os.getcwd()

@@ -500,9 +500,26 @@ def test_cli_history_undecodable_store_exit3(tmp_path, capsys):
 
 
 def test_cli_store_env_default(tmp_path, capsys, monkeypatch):
-    store = tmp_path / "env.ndjson"
-    monkeypatch.setenv(passport.ENV_STORE_PATH, str(store))
-    assert str(passport.default_store_path()) == str(store)
+    # one process, two values of BMS_STORE_PATH: each command without
+    # --store reads the variable when it runs, not when the parser was built
+    monkeypatch.chdir(tmp_path)
+    reports = write_reports(tmp_path, 1)
+    sessions = {}
+    for name, seed in (("a.ndjson", "1"), ("b.ndjson", "2")):
+        store = tmp_path / name
+        monkeypatch.setenv(passport.ENV_STORE_PATH, str(store))
+        code, out = run_cli(["--seed", seed, "--key", KEY_HEX, "readout", "--mode", "idle",
+                             "--reports", reports], capsys)
+        assert code == 0
+        assert json.loads(out)["store"] == str(store)
+        sessions[name] = json.loads(out)["session_id"]
+        code, out = run_cli(["history", "01" * 8], capsys)
+        assert code == 0
+        assert [e["session_id"] for e in json.loads(out)["entries"]] == [sessions[name]]
+    assert sessions["a.ndjson"] != sessions["b.ndjson"]
+    for name, session_id in sessions.items():
+        assert [e.session_id for e in passport.PassportStore(tmp_path / name).entries()] == [session_id]
+    assert not (tmp_path / "passport_store.ndjson").exists()
 
 
 def test_cli_wakeup_sim_eh_idle_figure(capsys):
