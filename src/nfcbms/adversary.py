@@ -95,7 +95,7 @@ class Reflect:
         if frame_no == 2:
             self._msg2_chal = _unwrap(wire, sndef.RecordType.HANDSHAKE)[hs.FRAME_HEADER_LEN + 16:]
         if frame_no == 3 and self._msg2_chal is not None:
-            forged = hs.HandshakeMessage(3, self._reader_id, self._msg2_chal).to_bytes()
+            forged = hs.frame(3, self._reader_id, self._msg2_chal)
             return sndef.encode_message(sndef.RecordType.HANDSHAKE, forged)
         return wire
 
@@ -282,14 +282,13 @@ def drive_session(
     outcome = session.outcome
     handshake, secure = sndef.RecordType.HANDSHAKE, sndef.RecordType.SNDEF_SECURE
 
-    frame = reader.reader_start().to_bytes()
+    frame = reader.reader_start()
     for msg_no, direction, operation in HANDSHAKE_FLOW:
         wire = channel.transfer(direction, sndef.encode_message(handshake, frame))
         receive = getattr(controller if direction.endswith("controller") else reader, operation)
-        reply = _attempt(outcome, msg_no, operation, lambda: receive(_unwrap(wire, handshake)))
-        if reply is None:  # a failure, or the final step, which sends nothing
+        frame = _attempt(outcome, msg_no, operation, lambda: receive(_unwrap(wire, handshake)))
+        if frame is None:  # a failure, or the final step, which sends nothing
             break
-        frame = reply.to_bytes()
     outcome.established_reader = reader.phase == hs.Phase.ESTABLISHED
     outcome.established_controller = controller.phase == hs.Phase.ESTABLISHED
 
@@ -340,13 +339,13 @@ def run_chosen_challenge(
             controller_cfg.principal_id, fake_reader_id, controller_cfg.master,
             controller_cfg.rng(),
         )
-        m1 = hs.HandshakeMessage(1, fake_reader_id, probe).to_bytes()
+        m1 = hs.frame(1, fake_reader_id, probe)
         m2 = _attempt(outcome, 2, "controller_respond", lambda: controller.controller_respond(m1))
         if m2 is None:
             continue
-        strategy.responses.append((probe, m2.body[16:]))
+        strategy.responses.append((probe, m2[hs.FRAME_HEADER_LEN + 16:]))
         # no key, so the best available answer is noise
-        forged = hs.HandshakeMessage(3, fake_reader_id, rng.randbytes(32)).to_bytes()
+        forged = hs.frame(3, fake_reader_id, rng.randbytes(32))
         if _attempt(outcome, 4, "controller_key_confirm",
                     lambda: controller.controller_key_confirm(forged)) is not None:
             outcome.established_controller = True  # would be an attack success

@@ -28,8 +28,10 @@ PACK_ID_LEN = 8
 MAX_CELLS = 32
 MAX_CELL_MV = 5000
 SOC_SOH_MAX = 1000
-HEADER_LEN = 8
-REPORT_FIXED_LEN = 23
+_HEADER = struct.Struct(">BBIH")  # use_case | origin | sequence_no | report_count
+_REPORT_FIXED = struct.Struct(">8sQHHHB")  # pack_id | timestamp | soc | soh | flags | n_cells
+HEADER_LEN = _HEADER.size
+REPORT_FIXED_LEN = _REPORT_FIXED.size
 MAX_REPORTS = 0xFFFF  # report_count is two bytes
 
 
@@ -127,17 +129,10 @@ def idle_packet(report: BpcReport, seq: int) -> DiagPacket:
 
 def encode_diag(packet: DiagPacket) -> bytes:
     out = bytearray(
-        struct.pack(
-            ">BBIH",
-            int(packet.use_case),
-            int(packet.origin),
-            packet.sequence_no,
-            len(packet.reports),
-        )
+        _HEADER.pack(int(packet.use_case), int(packet.origin), packet.sequence_no, len(packet.reports))
     )
     for r in packet.reports:
-        out += struct.pack(
-            ">8sQHHHB",
+        out += _REPORT_FIXED.pack(
             r.pack_id,
             r.timestamp,
             r.soc_permille,
@@ -155,7 +150,7 @@ def encode_diag(packet: DiagPacket) -> bytes:
 def decode_diag(raw: bytes) -> DiagPacket:
     if len(raw) < HEADER_LEN:
         raise Truncated("packet shorter than header")
-    use_case_v, origin_v, seq, count = struct.unpack_from(">BBIH", raw, 0)
+    use_case_v, origin_v, seq, count = _HEADER.unpack_from(raw)
     try:
         use_case = UseCase(use_case_v)
         origin = Origin(origin_v)
@@ -166,7 +161,7 @@ def decode_diag(raw: bytes) -> DiagPacket:
     for _ in range(count):
         if len(raw) - pos < REPORT_FIXED_LEN:
             raise Truncated("report header runs past end of input")
-        pack_id, ts, soc, soh, flags, n_cells = struct.unpack_from(">8sQHHHB", raw, pos)
+        pack_id, ts, soc, soh, flags, n_cells = _REPORT_FIXED.unpack_from(raw, pos)
         pos += REPORT_FIXED_LEN
         if len(raw) - pos < 2 * n_cells + 1:
             raise Truncated("cell voltages run past end of input")

@@ -19,7 +19,10 @@ any earlier bit surfaces at or before message 5.
 
 Wire frame (big endian): ``msg_no(1) | sender_id(4) | body_len(2) | body``.
 Body layouts: m1 = ch_r(16); m2 = ch_t(16) | chal(32); m3 = chal(32);
-m4/m5 = secure record payload as defined by the sndef codec.
+m4/m5 = secure record payload as defined by the sndef codec.  A frame is
+only these bytes: each step takes the peer's frame and returns its own,
+the very object it appends to ``transcript``, so messages 4 and 5 seal
+exactly the bytes that went on the wire.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from .errors import (
 from .sndef import decode_secure_payload, encode_secure_payload
 
 ID_LEN = 4
-FRAME_HEADER_LEN = 7
+_FRAME = struct.Struct(">B4sH")  # msg_no | sender_id | body_len
+FRAME_HEADER_LEN = _FRAME.size
 
 BODY_LEN = {1: 16, 2: 48, 3: 32}  # m4/m5 bodies are variable length
 
@@ -60,28 +64,18 @@ class Phase(IntEnum):
     FAILED = 5
 
 
-@dataclass(frozen=True)
-class HandshakeMessage:
-    msg_no: int
-    sender_id: bytes
-    body: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack(">B", self.msg_no)
-            + self.sender_id
-            + struct.pack(">H", len(self.body))
-            + self.body
-        )
+def frame(msg_no: int, sender_id: bytes, body: bytes) -> bytes:
+    """One wire frame; ``sender_id`` must be exactly ``ID_LEN`` bytes."""
+    if len(sender_id) != ID_LEN:
+        raise ValueError(f"sender_id must be {ID_LEN} bytes")
+    return _FRAME.pack(msg_no, sender_id, len(body)) + body
 
 
-def parse_frame(raw: bytes, *, expect_no: int, expect_sender: bytes) -> HandshakeMessage:
-    """Structural validation of one wire frame."""
+def parse_frame(raw: bytes, *, expect_no: int, expect_sender: bytes) -> bytes:
+    """Structural validation of one wire frame; returns its body."""
     if len(raw) < FRAME_HEADER_LEN:
         raise MalformedMessage("frame shorter than header")
-    msg_no = raw[0]
-    sender_id = raw[1:1 + ID_LEN]
-    (body_len,) = struct.unpack_from(">H", raw, 1 + ID_LEN)
+    msg_no, sender_id, body_len = _FRAME.unpack_from(raw)
     body = raw[FRAME_HEADER_LEN:]
     if msg_no != expect_no:
         raise MalformedMessage(f"expected message {expect_no}, got {msg_no}")
@@ -92,7 +86,7 @@ def parse_frame(raw: bytes, *, expect_no: int, expect_sender: bytes) -> Handshak
     fixed = BODY_LEN.get(msg_no)
     if fixed is not None and body_len != fixed:
         raise MalformedMessage(f"message {msg_no} body must be {fixed} bytes")
-    return HandshakeMessage(msg_no, sender_id, body)
+    return body
 
 
 def challenge_plain(principal_id: bytes, nonce: sc.Nonce) -> bytes:
@@ -147,18 +141,18 @@ class HandshakeState:
         self.phase = Phase.FAILED
         return exc
 
-    def _emit(self, msg_no: int, body: bytes) -> HandshakeMessage:
-        msg = HandshakeMessage(msg_no, self.self_id, body)
-        self.transcript.append(msg.to_bytes())
-        return msg
+    def _emit(self, msg_no: int, body: bytes) -> bytes:
+        raw = frame(msg_no, self.self_id, body)
+        self.transcript.append(raw)
+        return raw
 
-    def _receive(self, raw: bytes, msg_no: int) -> HandshakeMessage:
+    def _receive(self, raw: bytes, msg_no: int) -> bytes:
         try:
-            msg = parse_frame(raw, expect_no=msg_no, expect_sender=self.peer_id)
+            body = parse_frame(raw, expect_no=msg_no, expect_sender=self.peer_id)
         except MalformedMessage as exc:
             raise self._fail(exc)
         self.transcript.append(raw)
-        return msg
+        return body
 
     def _peer_nonce(self, raw: bytes) -> sc.Nonce:
         """The peer's challenge: a valid nonce, not the reader's own (None on the controller)."""
@@ -177,7 +171,7 @@ class HandshakeState:
 
     # --- message 1: reader opens with its challenge ---
 
-    def reader_start(self) -> HandshakeMessage:
+    def reader_start(self) -> bytes:
         self._require(Role.READER, Phase.INIT)
         self.ch_r = sc.new_nonce(self.rng)
         self.phase = Phase.CHALLENGED
@@ -185,9 +179,9 @@ class HandshakeState:
 
     # --- message 2: controller answers and issues its own challenge ---
 
-    def controller_respond(self, msg1: bytes) -> HandshakeMessage:
+    def controller_respond(self, msg1: bytes) -> bytes:
         self._require(Role.CONTROLLER, Phase.INIT)
-        self.ch_r = self._peer_nonce(self._receive(msg1, 1).body)
+        self.ch_r = self._peer_nonce(self._receive(msg1, 1))
         while True:
             self.ch_t = sc.new_nonce(self.rng)
             if self.ch_t.bytes != self.ch_r.bytes:
@@ -198,10 +192,10 @@ class HandshakeState:
 
     # --- message 3: reader verifies the controller and answers back ---
 
-    def reader_answer(self, msg2: bytes) -> HandshakeMessage:
+    def reader_answer(self, msg2: bytes) -> bytes:
         self._require(Role.READER, Phase.CHALLENGED)
-        msg = self._receive(msg2, 2)
-        ch_t_raw, chal = msg.body[:16], msg.body[16:]
+        body = self._receive(msg2, 2)
+        ch_t_raw, chal = body[:16], body[16:]
         expected = challenge_plain(self.peer_id, self.ch_r)
         if sc.double_decrypt(self.master, chal) != expected:
             raise self._fail(AuthFailure("controller challenge response does not verify"))
@@ -212,7 +206,7 @@ class HandshakeState:
 
     # --- messages 4 and 5: key confirmation over the new record channel ---
 
-    def _seal_confirm(self, msg_no: int) -> HandshakeMessage:
+    def _seal_confirm(self, msg_no: int) -> bytes:
         # X (message 4) / X' (message 5): frames msg_no - 3 and msg_no - 1,
         # which the sealer received and the opener sent
         view = self.transcript[msg_no - 4] + self.transcript[msg_no - 2]
@@ -221,9 +215,9 @@ class HandshakeState:
 
     def _open_confirm(self, raw: bytes, msg_no: int) -> None:
         """Open the peer's confirmation and compare it with the frames we sent."""
-        msg = self._receive(raw, msg_no)
+        body = self._receive(raw, msg_no)
         try:
-            plaintext = sc.open_record(self.channel, decode_secure_payload(msg.body))
+            plaintext = sc.open_record(self.channel, decode_secure_payload(body))
         except CodecError as exc:
             raise self._fail(MalformedMessage("undecodable confirmation")) from exc
         except TagMismatch as exc:
@@ -231,22 +225,22 @@ class HandshakeState:
         if plaintext != self.peer_id + self.transcript[msg_no - 4] + self.transcript[msg_no - 2]:
             raise self._fail(KeyConfirmFailure("transcript view diverges"))
 
-    def controller_key_confirm(self, msg3: bytes) -> HandshakeMessage:
+    def controller_key_confirm(self, msg3: bytes) -> bytes:
         """Message 4: verify the reader's answer, then confirm the key."""
         self._require(Role.CONTROLLER, Phase.CHALLENGED)
         try:
-            msg = self._receive(msg3, 3)
+            answer = self._receive(msg3, 3)
         except MalformedMessage as exc:
             raise AuthFailure("malformed challenge answer") from exc
         # encrypt-direction check of a decrypt-direction value: a value we
         # produced ourselves (or any reflected ciphertext) can never pass
         expected = challenge_plain(self.peer_id, self.ch_t)
-        if sc.double_encrypt(self.master, msg.body) != expected:
+        if sc.double_encrypt(self.master, answer) != expected:
             raise self._fail(AuthFailure("reader challenge answer does not verify"))
         self._open_channel(Phase.KEY_CONFIRM_SENT)
         return self._seal_confirm(4)
 
-    def reader_key_confirm(self, msg4: bytes) -> HandshakeMessage:
+    def reader_key_confirm(self, msg4: bytes) -> bytes:
         """Message 5: check the controller's confirmation and answer in kind."""
         self._require(Role.READER, Phase.AUTHENTICATED)
         self._open_confirm(msg4, 4)
@@ -264,10 +258,10 @@ def run_honest_handshake(
     reader: HandshakeState, controller: HandshakeState
 ) -> list[bytes]:
     """Drive both endpoints directly (no link in between); returns the frames."""
-    m1 = reader.reader_start().to_bytes()
-    m2 = controller.controller_respond(m1).to_bytes()
-    m3 = reader.reader_answer(m2).to_bytes()
-    m4 = controller.controller_key_confirm(m3).to_bytes()
-    m5 = reader.reader_key_confirm(m4).to_bytes()
+    m1 = reader.reader_start()
+    m2 = controller.controller_respond(m1)
+    m3 = reader.reader_answer(m2)
+    m4 = controller.controller_key_confirm(m3)
+    m5 = reader.reader_key_confirm(m4)
     controller.controller_finalize(m5)
     return [m1, m2, m3, m4, m5]

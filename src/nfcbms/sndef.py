@@ -27,7 +27,8 @@ from .errors import BadFlags, OversizeMessage, Truncated, UnknownType
 from .secure_channel import SecureRecord
 
 RECORD_HEADER_LEN = 6
-SECURE_FIXED_LEN = 34  # iv + tag + add_len
+_SECURE_FIXED = struct.Struct(">16s16sH")  # iv | tag | add_len
+SECURE_FIXED_LEN = _SECURE_FIXED.size
 MAX_MESSAGE = 8192  # models a small tag memory
 
 FLAG_MB = 0x80
@@ -95,25 +96,18 @@ def decode_message(raw: bytes) -> NdefMessage:
 
 def encode_secure_payload(record: SecureRecord) -> bytes:
     """Serialize a SecureRecord to the SNDEF payload layout."""
-    return (
-        record.iv
-        + record.tag
-        + struct.pack(">H", len(record.add_data))
-        + record.add_data
-        + record.sec_data
-    )
+    return _SECURE_FIXED.pack(record.iv, record.tag, len(record.add_data)) + record.add_data + record.sec_data
 
 
 def decode_secure_payload(payload: bytes) -> SecureRecord:
     if len(payload) < SECURE_FIXED_LEN:
         raise Truncated("secure payload shorter than fixed fields")
-    iv = payload[:16]
-    tag = payload[16:32]
-    (add_len,) = struct.unpack_from(">H", payload, 32)
-    if len(payload) < SECURE_FIXED_LEN + add_len:
+    iv, tag, add_len = _SECURE_FIXED.unpack_from(payload)
+    end = SECURE_FIXED_LEN + add_len
+    if len(payload) < end:
         raise Truncated("declared add_data runs past end of payload")
-    add_data = payload[34:34 + add_len]
-    sec_data = payload[34 + add_len:]
+    add_data = payload[SECURE_FIXED_LEN:end]
+    sec_data = payload[end:]
     if not sec_data or len(sec_data) % 16:
         raise Truncated("sec_data must be a positive multiple of 16 bytes")
     return SecureRecord(iv=iv, sec_data=sec_data, add_data=add_data, tag=tag)

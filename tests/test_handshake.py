@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import reference_crypto as ref
@@ -44,14 +45,46 @@ def endpoints(seed: int = 0, key_r: sc.MasterKey = KEY, key_c: sc.MasterKey = KE
     return reader, controller
 
 
+# --- the frame codec ---
+
+ids = st.binary(min_size=hs.ID_LEN, max_size=hs.ID_LEN)
+
+
+@given(
+    fields=st.integers(0, 255).flatmap(lambda n: st.tuples(
+        st.just(n), ids, st.binary(min_size=hs.BODY_LEN.get(n, 0), max_size=hs.BODY_LEN.get(n, 300))
+    )),
+    other_no=st.integers(1, 255),
+    sender_mask=ids.filter(any),
+    len_delta=st.integers(1, 0xFFFF),
+    bad_sender=st.binary(min_size=3, max_size=3) | st.binary(min_size=5, max_size=5),
+)
+def test_frame_round_trips_and_a_disagreeing_header_is_malformed(
+    fields, other_no, sender_mask, len_delta, bad_sender
+):
+    n, sender, body = fields
+    raw = hs.frame(n, sender, body)
+    assert len(raw) == hs.FRAME_HEADER_LEN + len(body)
+    assert hs.parse_frame(raw, expect_no=n, expect_sender=sender) == body
+    with pytest.raises(MalformedMessage, match="^expected message "):
+        hs.parse_frame(raw, expect_no=(n + other_no) % 256, expect_sender=sender)
+    other_sender = bytes(a ^ b for a, b in zip(sender, sender_mask))
+    with pytest.raises(MalformedMessage, match="^unexpected sender id$"):
+        hs.parse_frame(raw, expect_no=n, expect_sender=other_sender)
+    relabelled = raw[:1 + hs.ID_LEN] + struct.pack(">H", (len(body) + len_delta) % 0x10000) + body
+    with pytest.raises(MalformedMessage, match="^body length field disagrees with frame size$"):
+        hs.parse_frame(relabelled, expect_no=n, expect_sender=sender)
+    with pytest.raises(ValueError):
+        hs.frame(n, bad_sender, body)
+
+
 # --- message 1 ---
 
 
 def test_message1_layout():
     reader, _ = endpoints()
-    msg = reader.reader_start()
-    frame = msg.to_bytes()
-    assert len(msg.body) == 16
+    frame = reader.reader_start()
+    assert len(frame[hs.FRAME_HEADER_LEN:]) == 16
     # sender id plus body is the 20-byte plaintext unit on the wire
     assert len(frame) - 1 - 2 == 20
     assert frame[0] == 1
@@ -62,13 +95,13 @@ def test_message1_layout():
 def test_message1_nonce_never_zero_over_1000_seeds():
     for seed in range(1000):
         reader, _ = endpoints(seed)
-        assert reader.reader_start().body != bytes(16)
+        assert reader.reader_start()[hs.FRAME_HEADER_LEN:] != bytes(16)
 
 
 def test_message1_differs_across_seeds():
     r1, _ = endpoints(1)
     r2, _ = endpoints(2)
-    assert r1.reader_start().body != r2.reader_start().body
+    assert r1.reader_start()[hs.FRAME_HEADER_LEN:] != r2.reader_start()[hs.FRAME_HEADER_LEN:]
 
 
 # --- message 2 ---
@@ -76,7 +109,7 @@ def test_message1_differs_across_seeds():
 
 def test_message2_rejects_zero_nonce():
     _, controller = endpoints()
-    msg1 = hs.HandshakeMessage(1, READER_ID, bytes(16)).to_bytes()
+    msg1 = hs.frame(1, READER_ID, bytes(16))
     with pytest.raises(InvalidNonce):
         controller.controller_respond(msg1)
     assert controller.phase == hs.Phase.FAILED
@@ -85,10 +118,10 @@ def test_message2_rejects_zero_nonce():
 def test_message2_encrypted_field_double_decrypts_to_id_and_nonce():
     reader, controller = endpoints(3)
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
-    chal = m2.body[16:]
+    m2 = controller.controller_respond(m1)
+    chal = m2[hs.FRAME_HEADER_LEN + 16:]
     plain = sc.double_decrypt(KEY, chal)
-    assert plain == (CONTROLLER_ID + m1.body).ljust(32, b"\x00")
+    assert plain == (CONTROLLER_ID + m1[hs.FRAME_HEADER_LEN:]).ljust(32, b"\x00")
 
 
 def test_message2_golden_bytes_zero_key_fixed_nonces():
@@ -99,8 +132,8 @@ def test_message2_golden_bytes_zero_key_fixed_nonces():
         CONTROLLER_ID, READER_ID, KEY, ScriptedRng(bytes([2]) * 16)
     )
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
-    assert m2.to_bytes().hex() == (
+    m2 = controller.controller_respond(m1)
+    assert m2.hex() == (
         "024d4e5f5f003002020202020202020202020202020202"
         "40b537b5a82d7d4e55e3df11a0e602b89a905284f7ef7d55856f1e440f602e8d"
     )
@@ -109,7 +142,7 @@ def test_message2_golden_bytes_zero_key_fixed_nonces():
         KEY.bytes, bytes(16),
         ref.cbc_encrypt(KEY.bytes, bytes(16), (CONTROLLER_ID + bytes([1]) * 16).ljust(32, b"\x00")),
     )
-    assert m2.body[16:] == expected
+    assert m2[hs.FRAME_HEADER_LEN + 16:] == expected
 
 
 def test_malformed_message1_rejected():
@@ -125,18 +158,18 @@ def test_wrong_master_key_fails_at_reader():
     wrong = sc.MasterKey(bytes([7]) * 16)
     reader, controller = endpoints(4, key_r=KEY, key_c=wrong)
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
+    m2 = controller.controller_respond(m1)
     with pytest.raises(AuthFailure):
-        reader.reader_answer(m2.to_bytes())
+        reader.reader_answer(m2)
     assert reader.phase == hs.Phase.FAILED
 
 
 def test_equal_challenges_rejected():
     reader, _ = endpoints(5)
     m1 = reader.reader_start()
-    ch_r = m1.body
+    ch_r = m1[hs.FRAME_HEADER_LEN:]
     chal = sc.double_encrypt(KEY, (CONTROLLER_ID + ch_r).ljust(32, b"\x00"))
-    forged_m2 = hs.HandshakeMessage(2, CONTROLLER_ID, ch_r + chal).to_bytes()
+    forged_m2 = hs.frame(2, CONTROLLER_ID, ch_r + chal)
     with pytest.raises(InvalidNonce):
         reader.reader_answer(forged_m2)
 
@@ -144,10 +177,10 @@ def test_equal_challenges_rejected():
 def test_message3_double_encrypts_back_to_reader_challenge():
     reader, controller = endpoints(6)
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
-    m3 = reader.reader_answer(m2.to_bytes())
-    plain = sc.double_encrypt(KEY, m3.body)
-    assert plain == (READER_ID + m2.body[:16]).ljust(32, b"\x00")
+    m2 = controller.controller_respond(m1)
+    m3 = reader.reader_answer(m2)
+    plain = sc.double_encrypt(KEY, m3[hs.FRAME_HEADER_LEN:])
+    assert plain == (READER_ID + m2[hs.FRAME_HEADER_LEN:][:16]).ljust(32, b"\x00")
 
 
 def test_challenge_responses_never_bit_identical():
@@ -156,9 +189,9 @@ def test_challenge_responses_never_bit_identical():
     for seed in range(100):
         reader, controller = endpoints(seed)
         m1 = reader.reader_start()
-        m2 = controller.controller_respond(m1.to_bytes())
-        m3 = reader.reader_answer(m2.to_bytes())
-        assert m2.body[16:] != m3.body
+        m2 = controller.controller_respond(m1)
+        m3 = reader.reader_answer(m2)
+        assert m2[hs.FRAME_HEADER_LEN + 16:] != m3[hs.FRAME_HEADER_LEN:]
 
 
 # --- message 4 ---
@@ -167,9 +200,9 @@ def test_challenge_responses_never_bit_identical():
 def test_reflected_challenge_fails():
     reader, controller = endpoints(7)
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
+    m2 = controller.controller_respond(m1)
     # bounce the controller's own encrypted challenge back as message 3
-    reflected = hs.HandshakeMessage(3, READER_ID, m2.body[16:]).to_bytes()
+    reflected = hs.frame(3, READER_ID, m2[hs.FRAME_HEADER_LEN + 16:])
     with pytest.raises(AuthFailure):
         controller.controller_key_confirm(reflected)
     assert controller.phase == hs.Phase.FAILED
@@ -178,8 +211,8 @@ def test_reflected_challenge_fails():
 def test_message3_wrong_length_fails_auth():
     reader, controller = endpoints(8)
     m1 = reader.reader_start()
-    controller.controller_respond(m1.to_bytes())
-    short = hs.HandshakeMessage(3, READER_ID, bytes(16)).to_bytes()
+    controller.controller_respond(m1)
+    short = hs.frame(3, READER_ID, bytes(16))
     with pytest.raises(AuthFailure) as excinfo:
         controller.controller_key_confirm(short)
     assert isinstance(excinfo.value.__cause__, MalformedMessage)
@@ -188,14 +221,14 @@ def test_message3_wrong_length_fails_auth():
 def test_message4_round_trip_carries_transcript():
     reader, controller = endpoints(9)
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
-    m3 = reader.reader_answer(m2.to_bytes())
-    m4 = controller.controller_key_confirm(m3.to_bytes())
+    m2 = controller.controller_respond(m1)
+    m3 = reader.reader_answer(m2)
+    m4 = controller.controller_key_confirm(m3)
     # open on the reader side: plaintext is id | raw msg1 | raw msg3
     from nfcbms.sndef import decode_secure_payload
 
-    plain = sc.open_record(reader.channel, decode_secure_payload(m4.body))
-    assert plain == CONTROLLER_ID + m1.to_bytes() + m3.to_bytes()
+    plain = sc.open_record(reader.channel, decode_secure_payload(m4[hs.FRAME_HEADER_LEN:]))
+    assert plain == CONTROLLER_ID + m1 + m3
 
 
 # --- message 5 and completion ---
@@ -215,32 +248,32 @@ def test_honest_run_establishes_both_sides():
 
 def test_modified_message1_caught_at_key_confirm():
     reader, controller = endpoints(11)
-    m1 = reader.reader_start().to_bytes()
+    m1 = reader.reader_start()
     tampered = bytearray(m1)
     tampered[10] ^= 1  # inside ch_r
     m2 = controller.controller_respond(bytes(tampered))
     with pytest.raises(AuthFailure):
-        reader.reader_answer(m2.to_bytes())
+        reader.reader_answer(m2)
 
 
 def test_message4_under_wrong_session_key_is_key_confirm_failure():
     reader, controller = endpoints(12)
     m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1.to_bytes())
-    m3 = reader.reader_answer(m2.to_bytes())
-    controller.controller_key_confirm(m3.to_bytes())
+    m2 = controller.controller_respond(m1)
+    m3 = reader.reader_answer(m2)
+    controller.controller_key_confirm(m3)
     # forge message 4 under unrelated keys
     other = sc.ChannelState.for_keys(
         sc.SessionKeys(k_enc=bytes(range(16)), k_mac=bytes(range(16, 32)))
     )
     forged_record = sc.seal_record(
-        other, CONTROLLER_ID + m1.to_bytes() + m3.to_bytes(), b"", random.Random(0)
+        other, CONTROLLER_ID + m1 + m3, b"", random.Random(0)
     )
     from nfcbms.sndef import encode_secure_payload
 
-    forged = hs.HandshakeMessage(4, CONTROLLER_ID, encode_secure_payload(forged_record))
+    forged = hs.frame(4, CONTROLLER_ID, encode_secure_payload(forged_record))
     with pytest.raises(KeyConfirmFailure):
-        reader.reader_key_confirm(forged.to_bytes())
+        reader.reader_key_confirm(forged)
 
 
 def test_replayed_message5_from_other_session_fails():
@@ -248,10 +281,10 @@ def test_replayed_message5_from_other_session_fails():
     frames_a = hs.run_honest_handshake(reader_a, controller_a)
 
     reader_b, controller_b = endpoints(14)
-    m1 = reader_b.reader_start().to_bytes()
-    m2 = controller_b.controller_respond(m1).to_bytes()
-    m3 = reader_b.reader_answer(m2).to_bytes()
-    m4 = controller_b.controller_key_confirm(m3).to_bytes()
+    m1 = reader_b.reader_start()
+    m2 = controller_b.controller_respond(m1)
+    m3 = reader_b.reader_answer(m2)
+    m4 = controller_b.controller_key_confirm(m3)
     reader_b.reader_key_confirm(m4)
     with pytest.raises(KeyConfirmFailure):
         controller_b.controller_finalize(frames_a[4])
@@ -262,11 +295,11 @@ def test_message4_reflected_as_message5_diverges_from_the_transcript():
     # controller's own message 4, re-headed as the reader's message 5,
     # passes the tag check: only the transcript comparison stops it
     reader, controller = endpoints(16)
-    m1 = reader.reader_start().to_bytes()
-    m2 = controller.controller_respond(m1).to_bytes()
-    m3 = reader.reader_answer(m2).to_bytes()
+    m1 = reader.reader_start()
+    m2 = controller.controller_respond(m1)
+    m3 = reader.reader_answer(m2)
     m4 = controller.controller_key_confirm(m3)
-    reflected = hs.HandshakeMessage(5, READER_ID, m4.body).to_bytes()
+    reflected = hs.frame(5, READER_ID, m4[hs.FRAME_HEADER_LEN:])
     with pytest.raises(KeyConfirmFailure, match="^transcript view diverges$"):
         controller.controller_finalize(reflected)
     assert controller.phase == hs.Phase.FAILED
@@ -274,11 +307,11 @@ def test_message4_reflected_as_message5_diverges_from_the_transcript():
 
 def test_truncated_message5_is_malformed():
     reader, controller = endpoints(15)
-    m1 = reader.reader_start().to_bytes()
-    m2 = controller.controller_respond(m1).to_bytes()
-    m3 = reader.reader_answer(m2).to_bytes()
-    m4 = controller.controller_key_confirm(m3).to_bytes()
-    m5 = reader.reader_key_confirm(m4).to_bytes()
+    m1 = reader.reader_start()
+    m2 = controller.controller_respond(m1)
+    m3 = reader.reader_answer(m2)
+    m4 = controller.controller_key_confirm(m3)
+    m5 = reader.reader_key_confirm(m4)
     with pytest.raises(MalformedMessage):
         controller.controller_finalize(m5[:40])
 
@@ -310,20 +343,20 @@ def test_wrong_keys_never_pass_challenged_either_role():
         # keyless controller against an honest reader
         reader, controller = endpoints(rng.randrange(1 << 30), key_c=wrong)
         m1 = reader.reader_start()
-        m2 = controller.controller_respond(m1.to_bytes())
+        m2 = controller.controller_respond(m1)
         with pytest.raises(AuthFailure):
-            reader.reader_answer(m2.to_bytes())
+            reader.reader_answer(m2)
         assert reader.channel is None  # reader never got past CHALLENGED
 
         # keyless reader against an honest controller
         reader, controller = endpoints(rng.randrange(1 << 30), key_r=wrong)
         m1 = reader.reader_start()
-        m2 = controller.controller_respond(m1.to_bytes())
+        m2 = controller.controller_respond(m1)
         with pytest.raises(AuthFailure):
-            reader.reader_answer(m2.to_bytes())  # reader itself cannot verify
+            reader.reader_answer(m2)  # reader itself cannot verify
         # even a reader that blindly answers anyway is caught
-        forged_answer = sc.double_decrypt(wrong, (READER_ID + m2.body[:16]).ljust(32, b"\x00"))
-        forged = hs.HandshakeMessage(3, READER_ID, forged_answer).to_bytes()
+        forged_answer = sc.double_decrypt(wrong, (READER_ID + m2[hs.FRAME_HEADER_LEN:][:16]).ljust(32, b"\x00"))
+        forged = hs.frame(3, READER_ID, forged_answer)
         with pytest.raises(AuthFailure):
             controller.controller_key_confirm(forged)
         assert controller.channel is None
@@ -360,10 +393,10 @@ def assert_bitflip_fails(rng: random.Random) -> None:
         return bytes(mutated)
 
     try:
-        m1 = maybe_flip(reader.reader_start().to_bytes(), 1)
-        m2 = maybe_flip(controller.controller_respond(m1).to_bytes(), 2)
-        m3 = maybe_flip(reader.reader_answer(m2).to_bytes(), 3)
-        m4 = maybe_flip(controller.controller_key_confirm(m3).to_bytes(), 4)
+        m1 = maybe_flip(reader.reader_start(), 1)
+        m2 = maybe_flip(controller.controller_respond(m1), 2)
+        m3 = maybe_flip(reader.reader_answer(m2), 3)
+        m4 = maybe_flip(controller.controller_key_confirm(m3), 4)
         reader.reader_key_confirm(m4)
         controller.controller_finalize(reader.transcript[4])
     except (AuthFailure, MalformedMessage, KeyConfirmFailure, InvalidNonce):
@@ -442,7 +475,8 @@ class HandshakeMachine(RuleBasedStateMachine):
         assert role not in self.failed
         assert LEGAL_STEPS[step] == (role, phase, endpoint.phase)
         if reply is not None:
-            self.last_sent[role] = reply.to_bytes()
+            assert reply is endpoint.transcript[-1]  # the frame sent is the one recorded
+            self.last_sent[role] = reply
 
     @invariant()
     def transcript_entry_i_holds_frame_i_plus_1(self):

@@ -435,11 +435,11 @@ def test_interleaved_handshakes_under_one_master_key_match_sequential_ones():
     for reader, controller in sessions(sc.MasterKey(bytes(range(16)))):
         sequential += hs.run_honest_handshake(reader, controller)
     pairs = sessions(sc.MasterKey(bytes(range(16))))
-    last = [reader.reader_start().to_bytes() for reader, _ in pairs]
+    last = [reader.reader_start() for reader, _ in pairs]
     frames = [list(last)]
     for step in steps:
         last = [
-            getattr(reader if step.startswith("reader") else controller, step)(frame).to_bytes()
+            getattr(reader if step.startswith("reader") else controller, step)(frame)
             for (reader, controller), frame in zip(pairs, last)
         ]
         frames.append(last)
