@@ -43,8 +43,6 @@ from enum import Enum
 
 from .errors import NfcBmsError
 
-BELIEF_DEPTH_CAP = 6
-
 
 class ParseError(NfcBmsError):
     """Statement text does not match the grammar; carries a position."""
@@ -193,7 +191,8 @@ class SymbolTable:
 
 # a statement nests at most one level per token; this bound keeps the
 # recursive parser and derivation's hashing of nested statements well
-# inside the interpreter's recursion limit
+# inside the interpreter's recursion limit, and it is the only bound on
+# nesting (see ``derive``)
 MAX_STATEMENT_TOKENS = 128
 # ``\w`` is ``str.isalnum()`` or ``_``; whitespace (``\s``) is skipped; anything else is an error
 _TOKEN = re.compile(r"(?P<punct>\|=|\|~|<\||<-|->|[{}(),])|(?P<ident>\w[\w']*)|(?P<bad>\S)")
@@ -392,17 +391,14 @@ _RULE_TABLE = (
 )
 
 
-def _applications(statements, key_derivations, only=None):
+def _applications(statements, key_derivations):
     """Yield ``(rule, premises, conclusion)`` for every rule application over ``statements``."""
     statements = list(statements)
     key_derivations = key_derivations or {}
     for slots, rules in _RULE_TABLE:
-        rules = [(rule, schema) for rule, schema in rules.items() if only in (None, rule)]
-        if not rules:
-            continue
         candidates = [[s for s in statements if fits(s)] for fits in slots]
         for premises in itertools.product(*candidates):
-            for rule, schema in rules:
+            for rule, schema in rules.items():
                 for conclusion in schema(*premises, key_derivations):
                     yield rule, premises, conclusion
 
@@ -412,8 +408,9 @@ def apply_rule(rule: Rule, premises, key_derivations: dict | None = None) -> lis
 
     Non-applicability is not an error: the result is just empty.
     """
-    applications = _applications(premises, key_derivations, Rule(rule))
-    return list(dict.fromkeys(conclusion for _, _, conclusion in applications))
+    rule = Rule(rule)
+    conclusions = (c for applied, _, c in _applications(premises, key_derivations) if applied == rule)
+    return list(dict.fromkeys(conclusions))
 
 
 # --- forward-chaining derivation ---
@@ -500,6 +497,10 @@ def derive(
 ):
     """Forward chain to a fixpoint or the round budget.
 
+    A fixpoint always exists: every conclusion is built from subterms of
+    the inputs, at most two belief or said levels deeper, so only finitely
+    many statements can be derived.  ``max_depth`` only stops sooner.
+
     Returns a :class:`ProofTrace` pruned to the goals' ancestors, or
     :class:`NotDerivable` listing what was never reached (and whether a
     fixpoint was hit, as opposed to running out of rounds).
@@ -510,7 +511,7 @@ def derive(
     known: dict = {}
 
     def add(stmt, rule: str, premises: tuple) -> None:
-        if stmt in known or len(_peel(stmt)[0]) > BELIEF_DEPTH_CAP:
+        if stmt in known:
             return
         step = ProofStep(len(steps), rule, premises, stmt)
         steps.append(step)

@@ -82,17 +82,15 @@ class PassportStore:
         if not self.path.exists():
             return []
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                text = fh.read()
+                text = _committed(fh.read()).decode("utf-8")
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise StoreError(f"{self.path}: corrupt store: {exc}") from exc
-        if not text.endswith("\n"):
-            text = text[:text.rfind("\n") + 1]  # skip the uncommitted tail
         out = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             try:
                 out.append(PassportEntry.from_json(json.loads(line)))
             except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:
@@ -109,9 +107,15 @@ class PassportStore:
         return sorted(matching, key=lambda e: e.received_at)
 
 
+def _committed(data: bytes) -> bytes:
+    """The committed lines of a store file's bytes.  A line ends at byte
+    0x0A only (CR, NEL and U+2028 are data); whatever follows the last one
+    is an append that never finished, so never acknowledged."""
+    return data[:data.rfind(b"\n") + 1]
+
+
 def _drop_uncommitted_tail(fh) -> None:
-    """Truncate a last line without its newline: an append that never
-    finished, so never acknowledged.  ``fh`` is open for reading and
+    """Truncate the uncommitted tail.  ``fh`` is open for reading and
     appending, with the exclusive lock held."""
     size = fh.seek(0, os.SEEK_END)
     if size == 0:
@@ -119,7 +123,7 @@ def _drop_uncommitted_tail(fh) -> None:
     fh.seek(size - 1)
     if fh.read(1) != b"\n":
         fh.seek(0)
-        fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.truncate(len(_committed(fh.read())))
 
 
 def default_store_path() -> Path:

@@ -81,9 +81,7 @@ class PowerModel:
 
     def wakeup_nw(self, method: Method) -> int:
         if method == Method.ED:
-            return self._nw(
-                self.bpc_active_current_ma * 1000 + self.ntag_active_current_ma * 1000
-            )
+            return self.session_nw()
         # during harvesting the tag runs on field energy, not the battery
         return self._nw(self.bpc_active_current_ma * 1000)
 
@@ -93,9 +91,11 @@ class PowerModel:
     def always_on_nw(self) -> int:
         return self._nw(self.bpc_active_current_ma * 1000 + self.ntag_standby_current_ua)
 
+    def wakeup_latency_ms(self, method: Method) -> float:
+        return self.ed_wakeup_latency_ms if method == Method.ED else self.eh_wakeup_latency_ms
+
     def wakeup_latency_us(self, method: Method) -> int:
-        ms = self.ed_wakeup_latency_ms if method == Method.ED else self.eh_wakeup_latency_ms
-        return _whole_us(ms, 1000, f"{method.value}_wakeup_latency_ms")
+        return _whole_us(self.wakeup_latency_ms(method), 1000, f"{method.value}_wakeup_latency_ms")
 
 
 def idle_power(model: PowerModel, method: Method) -> float:
@@ -234,45 +234,37 @@ def compare_methods(model: PowerModel, scenario: StorageScenario) -> dict:
     return compare_traces(model, {m: simulate(model, scenario, m) for m in Method})
 
 
+# each design's (pros, cons)
+_PROS_CONS = {
+    Method.ED: (("wake-up via the tag event pin is fast",),
+                ("tag must be powered at all times", "higher idle power draw")),
+    Method.EH: (("tag draws nothing while idle", "controller supplies the tag only during sessions"),
+                ("wake-up waits on field energy harvesting",)),
+}
+
+
+def _lower(ed: float, eh: float) -> str:
+    """The design whose figure is lower, or "tie"."""
+    if ed == eh:
+        return "tie"
+    return "ed" if ed < eh else "eh"
+
+
 def compare_traces(model: PowerModel, traces: dict) -> dict:
     """Rank the two designs' traces of one scenario by power and by latency."""
-    ed, eh = traces[Method.ED], traces[Method.EH]
-
-    if ed.avg_power_uw == eh.avg_power_uw:
-        lower_power = "tie"
-    else:
-        lower_power = "eh" if eh.avg_power_uw < ed.avg_power_uw else "ed"
-    if model.ed_wakeup_latency_ms == model.eh_wakeup_latency_ms:
-        lower_latency = "tie"
-    else:
-        lower_latency = "ed" if model.ed_wakeup_latency_ms < model.eh_wakeup_latency_ms else "eh"
-
     return {
         "methods": {
-            "ed": {
-                "idle_power_uw": model.idle_nw(Method.ED) / 1000,
-                "avg_power_uw": ed.avg_power_uw,
-                "total_energy_uj": ed.total_energy_uj,
-                "wakeup_latency_ms": model.ed_wakeup_latency_ms,
-                "pros": ["wake-up via the tag event pin is fast"],
-                "cons": [
-                    "tag must be powered at all times",
-                    "higher idle power draw",
-                ],
-            },
-            "eh": {
-                "idle_power_uw": model.idle_nw(Method.EH) / 1000,
-                "avg_power_uw": eh.avg_power_uw,
-                "total_energy_uj": eh.total_energy_uj,
-                "wakeup_latency_ms": model.eh_wakeup_latency_ms,
-                "pros": [
-                    "tag draws nothing while idle",
-                    "controller supplies the tag only during sessions",
-                ],
-                "cons": ["wake-up waits on field energy harvesting"],
-            },
+            m.value: {
+                "idle_power_uw": model.idle_nw(m) / 1000,
+                "avg_power_uw": traces[m].avg_power_uw,
+                "total_energy_uj": traces[m].total_energy_uj,
+                "wakeup_latency_ms": model.wakeup_latency_ms(m),
+                "pros": list(_PROS_CONS[m][0]),
+                "cons": list(_PROS_CONS[m][1]),
+            }
+            for m in Method
         },
         "always_on_baseline_uw": model.always_on_nw() / 1000,
-        "lower_avg_power": lower_power,
-        "lower_wakeup_latency": lower_latency,
+        "lower_avg_power": _lower(traces[Method.ED].avg_power_uw, traces[Method.EH].avg_power_uw),
+        "lower_wakeup_latency": _lower(model.ed_wakeup_latency_ms, model.eh_wakeup_latency_ms),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nfcbms import ban
 from nfcbms.ban import (
@@ -342,3 +343,54 @@ def test_minimal_trace_has_no_orphan_steps():
     for step in result.steps:
         used.update(step.premises)
     assert {s.index for s in result.steps} == used
+
+
+# --- nesting: the 128-token statement limit is the only bound ---
+
+DECLARATIONS = "principal NR\nprincipal MN\nkey KM\nnonce chr\nnonce cht\n"
+INNER_FACTS = [
+    "fresh(chr)",
+    "NR <-KM-> MN",
+    "MN |~ (chr, cht)",
+    "(cht, MN |= fresh(chr))",
+    "NR <| {{(chr, NR <-KM-> MN)}KM}KM",
+]
+
+
+def _tokens(text: str) -> int:
+    return len(ban._tokenize(text)) - 1  # the last token marks the end
+
+
+@st.composite
+def nested_statements(draw) -> str:
+    """A fact under a chain of beliefs, at most ``MAX_STATEMENT_TOKENS`` long."""
+    fact = draw(st.sampled_from(INNER_FACTS))
+    room = (ban.MAX_STATEMENT_TOKENS - _tokens(fact)) // 2  # each "P |=" is 2 tokens
+    return "".join(f"{who} |= " for who in draw(st.lists(st.sampled_from(["NR", "MN"]), max_size=room))) + fact
+
+
+@given(assumptions=st.lists(nested_statements(), min_size=1, max_size=4),
+       messages=st.lists(st.sampled_from(["NR <| {(chr, NR <-KM-> MN)}KM", "MN <| {{cht}KM}KM"]), max_size=2))
+def test_every_assumption_restated_as_a_goal_is_step_0(assumptions, messages):
+    spec = ban.parse_protocol(DECLARATIONS
+                              + "".join(f"assume {a}\n" for a in assumptions)
+                              + "".join(f"message m{i}: {m}\n" for i, m in enumerate(messages)))
+    for goal in spec.assumptions:
+        result = ban.verify_protocol(spec, {"G": goal})
+        assert isinstance(result, ProofTrace)
+        assert result.goal_steps == {goal: 0}
+        assert [(s.rule, s.statement) for s in result.steps] == [("assumption", goal)]
+
+
+def test_deep_beliefs_over_nested_pairs_derive_to_a_fixpoint_at_the_token_limit():
+    # two beliefs, then 20 levels of "P |= (..., cht)" around fresh(chr): 4 + 120 + 4 tokens
+    believers = ["NR", "MN"] + [("MN", "NR")[i % 2] for i in range(20)]
+    statement = "NR |= MN |= " + "".join(f"{who} |= (" for who in believers[2:]) + "fresh(chr)" + ", cht)" * 20
+    assert _tokens(statement) == ban.MAX_STATEMENT_TOKENS
+    deepest = "".join(f"{who} |= " for who in believers) + "fresh(chr)"  # 22 beliefs, all pairs projected
+    spec = ban.parse_protocol(f"{DECLARATIONS}assume {statement}\ngoal deepest: {deepest}\n"
+                              "goal unreachable: MN |= fresh(cht)\n")
+    result = ban.verify_protocol(spec, max_depth=64)
+    assert isinstance(result, NotDerivable)
+    assert result.at_fixpoint
+    assert result.unreached == [spec.goals["unreachable"]]

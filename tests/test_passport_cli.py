@@ -93,11 +93,16 @@ def test_store_survives_an_append_cut_short(tmp_path, data):
         store.append(make_entry(n, 100 * n))
     committed = path.read_bytes()
     torn = json.dumps(make_entry(3, 300).to_json(), sort_keys=True).encode()
-    path.write_bytes(committed + torn[:data.draw(st.integers(1, len(torn)), label="cut")])
-    assert [e.session_id for e in store.entries()] == ["s1", "s2"]
+    torn = torn[:data.draw(st.integers(1, len(torn)), label="cut")]
+    # only 0x0A ends a line: CR, NEL and U+2028 are data, and a cut can split a UTF-8 sequence
+    extra = data.draw(st.lists(st.sampled_from([b"\r", b"\xc2\x85", "\u2028".encode(), b"\xe2\x80"]),
+                               max_size=3), label="extra")
+    path.write_bytes(committed + torn + b"".join(extra))
+    listed = store.entries()
+    assert [e.session_id for e in listed] == ["s1", "s2"]
     store.append(make_entry(4, 400))
     assert path.read_bytes().startswith(committed)
-    assert [e.session_id for e in store.entries()] == ["s1", "s2", "s4"]
+    assert store.entries() == listed + [make_entry(4, 400)]
 
 
 def test_history_matches_packs_inside_aggregates(tmp_path):
@@ -310,31 +315,56 @@ def test_cli_history_out_of_range_or_mistyped_store_value_exit3(where, key, valu
     assert err == f"store error: {store}:1: corrupt entry: {detail}\n"
 
 
-TORN = '{"diag": {"origin": 1, "reports": [{"cell_vol'  # an append cut short
+TORN = b'{"diag": {"origin": 1, "reports": [{"cell_vol'  # an append cut short
+WHOLE = json.dumps(make_entry(1, 100).to_json(), sort_keys=True).encode()  # an entry without its newline
+# what a crash can leave after the last newline: only 0x0A ends a line, so
+# CR, NEL (c2 85) and U+2028 are data, and a UTF-8 sequence may be cut short
+TAILS = {
+    "": TORN,
+    "-torn-cr": TORN + b"\r",
+    "-entry-cr": WHOLE + b"\r",
+    "-entry-nel": WHOLE + b"\xc2\x85",
+    "-entry-u2028": WHOLE + "\u2028".encode() + b"x",
+    "-utf8-cut-short": TORN + b"\xe2\x80",
+}
 
 
-@pytest.mark.parametrize("committed", [0, 1])
-def test_cli_uncommitted_tail_is_skipped_then_truncated(committed, tmp_path, capsys):
+@pytest.mark.parametrize("committed, tail", [
+    pytest.param(committed, tail, id=f"{committed}{name}") for committed in (0, 1) for name, tail in TAILS.items()
+])
+def test_cli_uncommitted_tail_is_skipped_then_truncated(committed, tail, tmp_path, capsys):
     store = tmp_path / "s.ndjson"
     readout = ["--key", KEY_HEX, "readout", "--mode", "idle",
                "--reports", write_reports(tmp_path, 1), "--store", str(store)]
     history = ["history", "01" * 8, "--store", str(store)]
     for _ in range(committed):
         run_cli(readout, capsys)
-    with open(store, "a") as fh:
-        fh.write(TORN)
+    with open(store, "ab") as fh:
+        fh.write(tail)
     code, out = run_cli(history, capsys)
     assert code == 0
-    assert len(json.loads(out)["entries"]) == committed
+    listed = json.loads(out)["entries"]
+    assert len(listed) == committed
     code, _ = run_cli(readout, capsys)
     assert code == 0
-    lines = store.read_text().split("\n")
-    assert lines[-1] == ""  # the file ends in a newline
+    lines = store.read_bytes().split(b"\n")
+    assert lines[-1] == b""  # the file ends in a newline
     assert len(lines) == committed + 2
     assert all(json.loads(line)["pack_id"] == "01" * 8 for line in lines[:-1])
     code, out = run_cli(history, capsys)
     assert code == 0
-    assert len(json.loads(out)["entries"]) == committed + 1
+    # the append removed nothing that history had listed (equal stamps keep file order)
+    assert json.loads(out)["entries"] == listed + [json.loads(lines[-2])]
+
+
+def test_cli_history_reads_back_raw_line_separators_inside_a_string(tmp_path, capsys):
+    line = make_entry(1, 100).to_json()
+    line["session_id"] = "s\u2028\x851"  # raw U+2028 and NEL: data, not line ends
+    store = tmp_path / "s.ndjson"
+    store.write_bytes(json.dumps(line, ensure_ascii=False).encode() + b"\n")
+    code, out = run_cli(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 0
+    assert [e["session_id"] for e in json.loads(out)["entries"]] == [line["session_id"]]
 
 
 @pytest.mark.parametrize("content", ["[]", "{}", '"x"'])
@@ -679,6 +709,17 @@ goal G: NR |= MN |= NR <-KM-> MN
     assert code == 4
     payload = json.loads(out)
     assert not payload["result"]["derived"]
+
+
+def test_cli_ban_verify_deep_assumption_restated_as_a_goal_is_a_one_step_proof(tmp_path, capsys):
+    statement = "NR |= MN |= " * 3 + "NR |= fresh(chr)"  # seven nested beliefs
+    protocol = tmp_path / "p.ban"
+    protocol.write_text(f"principal NR\nprincipal MN\nnonce chr\nassume {statement}\ngoal G: {statement}\n")
+    code, out = run_cli(["ban-verify", "--protocol", str(protocol)], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["steps"] == [{"id": 0, "rule": "assumption", "premises": [], "statement": statement}]
+    assert result["goals"] == {statement: 0}
 
 
 def test_cli_ban_verify_parse_error_exit2(tmp_path, capsys):

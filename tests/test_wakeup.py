@@ -250,6 +250,16 @@ def test_compare_latency_tie_reported():
     assert report["lower_wakeup_latency"] == "tie"
 
 
+@pytest.mark.parametrize("per_day, lower", [(583, "eh"), (584, "ed")])
+def test_default_ranking_flips_at_the_wakeup_budget(per_day, lower):
+    # docs/formats.md, "Wake-up budget": N* is about 583.7 for 50-ms sessions
+    scenario = wk.StorageScenario(
+        duration_days=1,
+        readouts=tuple(wk.Readout(i * 86400 / per_day, 0.05) for i in range(per_day)),
+    )
+    assert wk.compare_methods(default_model(), scenario)["lower_avg_power"] == lower
+
+
 def test_duty_cycled_methods_below_1mw_baseline_above():
     # ten minutes of sessions per day with the default active currents
     model = default_model()
