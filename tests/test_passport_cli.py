@@ -329,6 +329,7 @@ TAILS = {
 }
 
 
+# ids: "0" and "1" for the plain torn tail, "0-<name>" and "1-<name>" for the others
 @pytest.mark.parametrize("committed, tail", [
     pytest.param(committed, tail, id=f"{committed}{name}") for committed in (0, 1) for name, tail in TAILS.items()
 ])
