@@ -39,7 +39,6 @@ broken = ban.derive(
     kept,
     [stmt for _, stmt in spec.messages],
     list(spec.goals.values()),
-    key_derivations=spec.symbols.key_derivations,
 )
 print(f"  derivable: {isinstance(broken, ban.ProofTrace)}; "
       f"fixpoint: {broken.at_fixpoint}; unreached: {len(broken.unreached)} goals")

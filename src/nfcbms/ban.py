@@ -18,8 +18,7 @@ each rule reads, in which order, and what it concludes):
 
     message-meaning     P believes a key it shares with Q; P sees a term
                         encrypted under that key (or under a session key
-                        declared as derived from it): P believes Q said
-                        the term.
+                        declared from it): P believes Q said the term.
     freshness-promotion P believes a component of a said pair is fresh:
                         P believes the whole pair is fresh.
     nonce-verification  P believes a term fresh and believes Q said it:
@@ -27,11 +26,13 @@ each rule reads, in which order, and what it concludes):
     belief              a believed pair projects to its components, at
                         any belief nesting depth.
 
-Session keys may be declared as derived from a long-term key
-(``sessionkey KS from KM``).  Message-meaning then accepts the believed
-long-term key as authority for traffic under the session key, which is
-the mechanical counterpart of the possession argument: only a holder of
-the master key can compute the session key.
+A session key is declared from a base key (``sessionkey KS from KM``),
+and its ``Key`` term carries that base.  Message-meaning accepts the
+believed base key as authority for traffic under the session key, which
+is the mechanical counterpart of the possession argument: only a holder
+of the master key can compute the session key.  A session key speaks
+for the key it was declared from, and for that key only (one hop): a
+``KT`` declared from ``KS`` has the authority of ``KS``, not of ``KM``.
 """
 
 from __future__ import annotations
@@ -70,8 +71,11 @@ class Principal(_Symbol):
     pass
 
 
+@dataclass(frozen=True)
 class Key(_Symbol):
-    pass
+    # the key a session key is declared from, None for a long-term key;
+    # not part of equality, so a name is one symbol however it was built
+    base: Key | None = field(default=None, compare=False)
 
 
 class NonceTerm(_Symbol):
@@ -173,20 +177,12 @@ _TERMS = {"principal": Principal, "key": Key, "nonce": NonceTerm}  # symbol kind
 
 @dataclass
 class SymbolTable:
-    kinds: dict = field(default_factory=dict)  # name -> principal | key | nonce
-    key_derivations: dict = field(default_factory=dict)  # session key -> base key
-
-    def declare(self, kind: str, name: str, derived_from: str | None = None) -> None:
-        if kind not in _TERMS:
-            raise ValueError(f"unknown symbol kind {kind!r}")
-        self.kinds[name] = kind
-        if derived_from is not None:
-            self.key_derivations[name] = derived_from
+    terms: dict = field(default_factory=dict)  # declared name -> the term it stands for
 
     def term_for(self, name: str, pos: int):
-        if name not in self.kinds:
+        if name not in self.terms:
             raise ParseError(f"undeclared symbol {name!r}", pos)
-        return _TERMS[self.kinds[name]](name)
+        return self.terms[name]
 
 
 # a statement nests at most one level per token; this bound keeps the
@@ -334,32 +330,31 @@ class Rule(str, Enum):
     BELIEF = "belief"
 
 
-# Each schema takes its premises, then the session-key derivations, and
-# yields what the rule concludes from them.
+# Each schema takes its premises and yields what the rule concludes from them.
 
 
-def _message_meaning(seen, belief, key_derivations):
+def _message_meaning(seen, belief):
     enc, share = seen.term, belief.fact
     if belief.who != seen.who or seen.who not in (share.left, share.right):
         return
-    # a session key derived from the believed key speaks with its authority
-    if enc.key == share.key or key_derivations.get(enc.key.name) == share.key.name:
+    # a session key declared from the believed key speaks with its authority
+    if share.key in (enc.key, enc.key.base):
         peer = share.right if seen.who == share.left else share.left
         yield Believes(seen.who, Said(peer, enc.body))
 
 
-def _freshness_promotion(fresh, said, _key_derivations):
+def _freshness_promotion(fresh, said):
     term = said.fact.term
     if said.who == fresh.who and isinstance(term, Pair) and fresh.fact.term in pair_members(term):
         yield Believes(fresh.who, Fresh(term))
 
 
-def _nonce_verification(fresh, said, _key_derivations):
+def _nonce_verification(fresh, said):
     if said.who == fresh.who and said.fact.term == fresh.fact.term:
         yield Believes(fresh.who, Believes(said.fact.who, said.fact.term))
 
 
-def _belief(stmt, _key_derivations):
+def _belief(stmt):
     believers, pair = _peel(stmt)
     for member in pair_members(pair):
         for who in reversed(believers):
@@ -391,25 +386,24 @@ _RULE_TABLE = (
 )
 
 
-def _applications(statements, key_derivations):
+def _applications(statements):
     """Yield ``(rule, premises, conclusion)`` for every rule application over ``statements``."""
     statements = list(statements)
-    key_derivations = key_derivations or {}
     for slots, rules in _RULE_TABLE:
         candidates = [[s for s in statements if fits(s)] for fits in slots]
         for premises in itertools.product(*candidates):
             for rule, schema in rules.items():
-                for conclusion in schema(*premises, key_derivations):
+                for conclusion in schema(*premises):
                     yield rule, premises, conclusion
 
 
-def apply_rule(rule: Rule, premises, key_derivations: dict | None = None) -> list:
+def apply_rule(rule: Rule, premises) -> list:
     """All conclusions the rule's schema yields from these premises, in order, without repeats.
 
     Non-applicability is not an error: the result is just empty.
     """
     rule = Rule(rule)
-    conclusions = (c for applied, _, c in _applications(premises, key_derivations) if applied == rule)
+    conclusions = (c for applied, _, c in _applications(premises) if applied == rule)
     return list(dict.fromkeys(conclusions))
 
 
@@ -450,6 +444,7 @@ class ProofTrace:
                 for s in self.steps
             ],
             "goals": {str(g): idx for g, idx in self.goal_steps.items()},
+            "derived": True,
         }
 
     def render(self) -> str:
@@ -485,16 +480,16 @@ class NotDerivable:
             "unreached": [str(s) for s in self.unreached],
             "at_fixpoint": self.at_fixpoint,
             "rounds": self.rounds,
+            "derived": False,
         }
 
+    def render(self) -> str:
+        lines = ["not derivable (" + ("fixpoint" if self.at_fixpoint else "round budget") + "):"]
+        lines.extend(f"  {s}" for s in self.unreached)
+        return "\n".join(lines)
 
-def derive(
-    assumptions,
-    messages,
-    goals,
-    max_depth: int = 16,
-    key_derivations: dict | None = None,
-):
+
+def derive(assumptions, messages, goals, max_depth: int = 16):
     """Forward chain to a fixpoint or the round budget.
 
     A fixpoint always exists: every conclusion is built from subterms of
@@ -529,7 +524,7 @@ def derive(
         if rounds >= max_depth:
             break
         rounds += 1
-        new = list(_applications(known, key_derivations))
+        new = list(_applications(known))
         before = len(known)
         for rule, premises, stmt in new:
             add(stmt, rule.value, tuple(known[p] for p in premises))
@@ -596,14 +591,15 @@ def _declare(symbols: SymbolTable, head: str, rest: str) -> None:
     kind, name, at = p.next()
     if kind != "ident" or name == "fresh":  # the keyword could never be read as a symbol
         raise ParseError(f"expected a name to declare, got {name or 'end of input'!r}", at)
-    if name in symbols.kinds:
+    if name in symbols.terms:
         raise ParseError(f"{name!r} is already declared", at)
-    base = None
     if head == "sessionkey":
         p.expect("from")
-        base = p.symbol(Key, "key name after 'from'").name
+        term = Key(name, p.symbol(Key, "key name after 'from'"))
+    else:
+        term = _TERMS[head](name)
     p.finish(None)
-    symbols.declare("key" if head == "sessionkey" else head, name, derived_from=base)
+    symbols.terms[name] = term
 
 
 def parse_protocol(text: str) -> ProtocolSpec:
@@ -641,24 +637,5 @@ def parse_goals(text: str, symbols: SymbolTable) -> dict:
 def verify_protocol(spec: ProtocolSpec, goals: dict | None = None, max_depth: int = 16):
     """Run derivation for a parsed protocol; returns the derive() result."""
     goals = goals if goals is not None else spec.goals
-    return derive(
-        spec.assumptions,
-        [stmt for _, stmt in spec.messages],
-        list(goals.values()),
-        max_depth=max_depth,
-        key_derivations=spec.symbols.key_derivations,
-    )
-
-
-def render_result(result) -> str:
-    if isinstance(result, ProofTrace):
-        return result.render()
-    lines = ["not derivable (" + ("fixpoint" if result.at_fixpoint else "round budget") + "):"]
-    lines.extend(f"  {s}" for s in result.unreached)
-    return "\n".join(lines)
-
-
-def result_to_json(result) -> dict:
-    payload = result.to_json()
-    payload["derived"] = isinstance(result, ProofTrace)
-    return payload
+    messages = [stmt for _, stmt in spec.messages]
+    return derive(spec.assumptions, messages, list(goals.values()), max_depth=max_depth)

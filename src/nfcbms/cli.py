@@ -78,11 +78,11 @@ def _read_input(path: str, what: str, parse):
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
-def _emit(args, payload: dict, text_renderer=None) -> None:
+def _emit(args, payload: dict, text_renderer) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(text_renderer(payload) if text_renderer else json.dumps(payload, indent=2, sort_keys=True))
+        print(text_renderer(payload))
 
 
 def _session(args, reader_key, controller_key, packets: list):
@@ -156,7 +156,8 @@ def cmd_readout(args) -> int:
     _, session = _session(args, key, key, [packet])
     failure = session.outcome.first_failure
     if failure is not None:
-        _emit(args, {"command": "readout", "error": failure.error, "detail": failure.detail})
+        _emit(args, {"command": "readout", "error": failure.error, "detail": failure.detail},
+              lambda p: f"readout failed: {p['error']}: {p['detail']}")
         return EXIT_PROTOCOL
 
     reader = session.reader
@@ -310,8 +311,7 @@ def cmd_ban_verify(args) -> int:
                                          "the protocol has no goal lines and no --goals file was given"))
 
     result = ban.verify_protocol(spec, goals, max_depth=args.max_depth)
-    payload = {"command": "ban-verify", "result": ban.result_to_json(result)}
-    _emit(args, payload, lambda p: ban.render_result(result))
+    _emit(args, {"command": "ban-verify", "result": result.to_json()}, lambda p: result.render())
     return EXIT_OK if isinstance(result, ban.ProofTrace) else EXIT_VERIFY
 
 

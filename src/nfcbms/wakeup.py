@@ -21,7 +21,7 @@ flagged as such in the config schema.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from numbers import Real
 
@@ -147,14 +147,29 @@ class TraceEvent:
 class WakeupTrace:
     method: Method
     duration_us: int
-    events: list = field(default_factory=list)
-    idle_energy_uj: float = 0.0
-    active_energy_uj: float = 0.0
-    avg_power_uw: float = 0.0
+    events: list
+    idle_nwus: int  # exact energies in nW*us; the uJ and uW figures derive from them
+    active_nwus: int
+
+    @property
+    def energy_nwus(self) -> int:
+        return self.idle_nwus + self.active_nwus
+
+    @property
+    def idle_energy_uj(self) -> float:
+        return self.idle_nwus / 1e9
+
+    @property
+    def active_energy_uj(self) -> float:
+        return self.active_nwus / 1e9
 
     @property
     def total_energy_uj(self) -> float:
         return self.idle_energy_uj + self.active_energy_uj
+
+    @property
+    def avg_power_uw(self) -> float:
+        return self.energy_nwus / self.duration_us / 1000
 
     def to_jsonl(self) -> str:
         import json
@@ -210,9 +225,7 @@ def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> Wa
     wake_nw = model.wakeup_nw(method)
     session_nw = model.session_nw()
 
-    trace = WakeupTrace(method=method, duration_us=duration_us)
-    events = trace.events
-    events.append(TraceEvent(0, "idle", idle_nw))
+    events = [TraceEvent(0, "idle", idle_nw)]
     for start, end, length in windows:
         events.append(TraceEvent(start, wake_state, wake_nw))
         events.append(TraceEvent(start + latency_us, "session", session_nw))
@@ -222,11 +235,7 @@ def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> Wa
     # the rest of the period is idle
     active_nwus = sum(latency_us * wake_nw + length * session_nw for _, _, length in windows)
     idle_nwus = idle_nw * (duration_us - sum(end - start for start, end, _ in windows))
-
-    trace.idle_energy_uj = idle_nwus / 1e9
-    trace.active_energy_uj = active_nwus / 1e9
-    trace.avg_power_uw = (idle_nwus + active_nwus) / duration_us / 1000
-    return trace
+    return WakeupTrace(method, duration_us, events, idle_nwus, active_nwus)
 
 
 def compare_methods(model: PowerModel, scenario: StorageScenario) -> dict:
@@ -243,7 +252,7 @@ _PROS_CONS = {
 }
 
 
-def _lower(ed: float, eh: float) -> str:
+def _lower(ed, eh) -> str:
     """The design whose figure is lower, or "tie"."""
     if ed == eh:
         return "tie"
@@ -265,6 +274,7 @@ def compare_traces(model: PowerModel, traces: dict) -> dict:
             for m in Method
         },
         "always_on_baseline_uw": model.always_on_nw() / 1000,
-        "lower_avg_power": _lower(traces[Method.ED].avg_power_uw, traces[Method.EH].avg_power_uw),
+        # one duration for both traces: the exact energies rank their average powers
+        "lower_avg_power": _lower(traces[Method.ED].energy_nwus, traces[Method.EH].energy_nwus),
         "lower_wakeup_latency": _lower(model.ed_wakeup_latency_ms, model.eh_wakeup_latency_ms),
     }

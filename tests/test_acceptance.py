@@ -191,7 +191,6 @@ def test_criterion_7_ban_reproduction():
         no_fresh,
         [stmt for _, stmt in spec.messages],
         list(spec.goals.values()),
-        key_derivations=spec.symbols.key_derivations,
     )
     assert isinstance(broken, ban.NotDerivable)
     assert broken.at_fixpoint

@@ -157,8 +157,9 @@ def test_message_meaning_wrong_key_yields_nothing():
         Sees(NR, Encrypted(Pair(CHR, KM_SHARE), other)),
     ]
     assert ban.apply_rule(Rule.MESSAGE_MEANING, premises) == []
-    # unless the key is declared as derived from the believed one
-    out = ban.apply_rule(Rule.MESSAGE_MEANING, premises, key_derivations={"KS": "KM"})
+    # unless the key is declared from the believed one
+    premises[1] = Sees(NR, Encrypted(Pair(CHR, KM_SHARE), Key("KS", KM)))
+    out = ban.apply_rule(Rule.MESSAGE_MEANING, premises)
     assert out == [Believes(NR, Said(MN, Pair(CHR, KM_SHARE)))]
 
 
@@ -210,6 +211,33 @@ def test_bundled_protocol_derives_all_goals():
         assert goal in result.goal_steps
 
 
+HOP_PROTOCOL = """
+principal NR
+principal MN
+key KA
+key KB
+sessionkey KS from KA
+sessionkey KT from KS
+nonce n
+"""
+
+
+def test_parsed_statements_alone_carry_each_session_key_one_hop_to_its_base():
+    spec = bundled_spec()
+    result = ban.derive(spec.assumptions, [stmt for _, stmt in spec.messages], list(spec.goals.values()))
+    assert isinstance(result, ProofTrace)
+    assert set(result.goal_steps) == set(spec.goals.values())
+
+    # NR believes the KA share: traffic under KA, or under KS declared from
+    # KA, is MN's; under KB, or under KT declared from KS, it is no one's
+    symbols = ban.parse_protocol(HOP_PROTOCOL).symbols
+    belief = parse_statement("NR |= NR <-KA-> MN", symbols)
+    said = parse_statement("NR |= MN |~ n", symbols)
+    for key, expected in (("KA", [said]), ("KS", [said]), ("KB", []), ("KT", [])):
+        premises = [belief, parse_statement(f"NR <| {{n}}{key}", symbols)]
+        assert [c for rule in Rule for c in ban.apply_rule(rule, premises)] == expected, key
+
+
 def test_goal_g11_uses_the_documented_rule_sequence():
     spec = bundled_spec()
     result = ban.verify_protocol(spec)
@@ -235,7 +263,6 @@ def test_removing_freshness_assumptions_breaks_goals_at_fixpoint():
         kept,
         [stmt for _, stmt in spec.messages],
         list(spec.goals.values()),
-        key_derivations=spec.symbols.key_derivations,
     )
     assert isinstance(result, NotDerivable)
     assert result.at_fixpoint
@@ -254,7 +281,6 @@ def test_depth_budget_exhaustion_is_distinguished_from_fixpoint():
         [stmt for _, stmt in spec.messages],
         list(spec.goals.values()),
         max_depth=1,
-        key_derivations=spec.symbols.key_derivations,
     )
     assert isinstance(result, NotDerivable)
     assert not result.at_fixpoint
@@ -267,7 +293,6 @@ def test_monotonicity_extra_assumptions_keep_goals():
         extra,
         [stmt for _, stmt in spec.messages],
         list(spec.goals.values()),
-        key_derivations=spec.symbols.key_derivations,
     )
     assert isinstance(result, ProofTrace)
 
@@ -305,7 +330,6 @@ def test_derivation_terminates_without_goals():
         [stmt for _, stmt in spec.messages],
         [impossible],
         max_depth=64,
-        key_derivations=spec.symbols.key_derivations,
     )
     assert isinstance(result, NotDerivable)
     assert result.at_fixpoint
@@ -320,16 +344,14 @@ def test_trace_steps_are_reproducible_by_reapplying_rules():
         if step.rule in ("assumption", "message"):
             continue
         premises = [by_index[i].statement for i in step.premises]
-        conclusions = ban.apply_rule(
-            Rule(step.rule), premises, key_derivations=spec.symbols.key_derivations
-        )
+        conclusions = ban.apply_rule(Rule(step.rule), premises)
         assert step.statement in conclusions
 
 
 def test_trace_serialization():
     spec = bundled_spec()
     result = ban.verify_protocol(spec)
-    payload = ban.result_to_json(result)
+    payload = result.to_json()
     assert payload["derived"]
     assert len(payload["steps"]) >= 8
     rendered = result.render()

@@ -79,6 +79,7 @@ CASES = {
     "readout-idle": [_readout(3, "idle", "one.json")],
     "readout-active": [_readout(4, "active", "three.json")],
     "readout-oversize": [_readout(5, "active", "oversize.json")],
+    "readout-oversize-text": [_readout(5, "active", "oversize.json") + ["--format", "text"]],
     "readout-text": [_readout(4, "active", "three.json") + ["--format", "text"]],
     "history": [
         _readout(3, "idle", "one.json"),
@@ -141,6 +142,9 @@ def test_goldens_cover_the_expected_exit_codes():
         "error": "OversizeMessage",
     }
     assert oversize["files"]["store.ndjson"] is None
+    assert golden["readout-oversize-text"]["commands"][0]["stdout"] == (
+        "readout failed: OversizeMessage: encoded message is 10456 bytes, cap is 8192\n"
+    )
 
 
 # --- one parser for every call of main in a process ---

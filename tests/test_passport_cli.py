@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -710,6 +711,26 @@ goal G: NR |= MN |= NR <-KM-> MN
     assert code == 4
     payload = json.loads(out)
     assert not payload["result"]["derived"]
+
+
+BUNDLED_BAN = resources.files("nfcbms.data").joinpath("handshake.ban").read_text(encoding="utf-8")
+BUNDLED_PREMISES = [line for line in BUNDLED_BAN.splitlines() if line.startswith(("assume ", "message "))]
+
+
+@pytest.mark.parametrize("dropped", BUNDLED_PREMISES)
+def test_cli_ban_verify_needs_every_bundled_premise_but_plaintext_m1(dropped, tmp_path, capsys):
+    assert len(BUNDLED_PREMISES) == 11  # six assumptions, messages m1-m5
+    protocol = tmp_path / "ablated.ban"
+    protocol.write_text("\n".join(line for line in BUNDLED_BAN.splitlines() if line != dropped))
+    code, out = run_cli(["ban-verify", "--protocol", str(protocol)], capsys)
+    result = json.loads(out)["result"]
+    if dropped.startswith("message m1:"):
+        assert code == 0
+        assert set(result["goals"]) == {"NR |= MN |= NR <-KM-> MN", "MN |= NR |= NR <-KM-> MN",
+                                        "NR |= MN |= NR <-KS-> MN", "MN |= NR |= NR <-KS-> MN"}
+    else:
+        assert code == 4
+        assert not result["derived"]
 
 
 def test_cli_ban_verify_deep_assumption_restated_as_a_goal_is_a_one_step_proof(tmp_path, capsys):

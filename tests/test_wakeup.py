@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nfcbms import wakeup as wk
 from nfcbms.errors import OverlappingSessions, RangeViolation
@@ -83,19 +83,18 @@ def test_eh_energy_strictly_lower_same_scenario():
     assert eh_trace.total_energy_uj < ed_trace.total_energy_uj
 
 
-def closed_form_uj(model: wk.PowerModel, method: wk.Method, sessions: list) -> float:
-    """Independent sum of P_state * dt over the piecewise profile."""
+def closed_form_nwus(model: wk.PowerModel, method: wk.Method, sessions: list) -> int:
+    """Independent sum of P_state * dt over a one-day piecewise profile, in nW*us."""
     duration_us = 86_400_000_000
     latency_us = model.wakeup_latency_us(method)
     active_us = sum(round(length * 1e6) for length in sessions)
     wake_us = latency_us * len(sessions)
     idle_us = duration_us - active_us - wake_us
-    total_nwus = (
+    return (
         model.idle_nw(method) * idle_us
         + model.wakeup_nw(method) * wake_us
         + model.session_nw() * active_us
     )
-    return total_nwus / 1e9
 
 
 def test_single_session_day_matches_closed_form():
@@ -105,7 +104,7 @@ def test_single_session_day_matches_closed_form():
     )
     for method in (ED, EH):
         trace = wk.simulate(model, scenario, method)
-        expected = closed_form_uj(model, method, [60])
+        expected = closed_form_nwus(model, method, [60]) / 1e9
         assert trace.total_energy_uj == pytest.approx(expected, rel=1e-9)
         assert trace.avg_power_uw == pytest.approx(expected / 86400, rel=1e-9)
 
@@ -258,6 +257,36 @@ def test_default_ranking_flips_at_the_wakeup_budget(per_day, lower):
         readouts=tuple(wk.Readout(i * 86400 / per_day, 0.05) for i in range(per_day)),
     )
     assert wk.compare_methods(default_model(), scenario)["lower_avg_power"] == lower
+
+
+@st.composite
+def power_models(draw) -> wk.PowerModel:
+    ed_latency_ms = draw(st.floats(0.001, 1_000))
+    return wk.PowerModel(
+        supply_voltage_v=draw(st.floats(0.5, 12)),
+        bpc_vlps_current_ua=draw(st.floats(0.001, 1_000)),
+        bpc_active_current_ma=draw(st.floats(0.001, 1_000)),
+        ntag_standby_current_ua=draw(st.floats(0.001, 1_000)),
+        ntag_active_current_ma=draw(st.floats(0.001, 1_000)),
+        ed_wakeup_latency_ms=ed_latency_ms,
+        eh_wakeup_latency_ms=ed_latency_ms + draw(st.floats(0, 1_000)),
+    )
+
+
+@settings(deadline=None)  # up to 10 000 readouts a day, simulated once per design
+@given(power_models(), st.floats(0.001, 86_400), st.integers(0, 10_000))
+# one 22-hour readout leaves ED 1 nW*us above EH: averaged as floats, the two read as a tie
+@example(wk.PowerModel(1.0, 100.0, 1.0, 0.001, 0.001, 0.001, 7.979), 79_219.800998, 1)
+def test_lower_avg_power_is_the_sign_of_the_integer_energy_difference(model, length_s, per_day):
+    spacing_s = 86_400 / max(per_day, 1)
+    assume(model.eh_wakeup_latency_ms / 1000 + length_s + 1e-3 < spacing_s)  # no overlap, none past the end
+    scenario = wk.StorageScenario(
+        duration_days=1,
+        readouts=tuple(wk.Readout(i * spacing_s, length_s) for i in range(per_day)),
+    )
+    ed, eh = (closed_form_nwus(model, m, [length_s] * per_day) for m in (ED, EH))
+    lower = "eh" if ed > eh else "ed" if ed < eh else "tie"
+    assert wk.compare_methods(model, scenario)["lower_avg_power"] == lower
 
 
 def test_duty_cycled_methods_below_1mw_baseline_above():
