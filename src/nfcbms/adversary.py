@@ -6,8 +6,9 @@ sealed diagnostics as SNDEF_SECURE records.  The adversary is
 Dolev-Yao over this link (it can read, modify, and inject every frame)
 but computationally bounded: it never holds the master key.
 
-Each blocked attack is pinned to the exact frame number and error that
-stopped it.  Confidentiality is checked with an engineering proxy: no
+``drive_session`` walks ``handshake.FLOW`` over the link.  Each blocked
+attack is pinned to the exact frame number and error that stopped it.
+Confidentiality is checked with an engineering proxy: no
 8-byte-or-longer substring of any workload plaintext may appear
 anywhere in the link transcript.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from . import diagnostics, handshake as hs, secure_channel as sc, sndef
@@ -27,6 +28,8 @@ SECRECY_WINDOW = 8
 # its plaintexts has more windows than this; near 64 a walk and a
 # window-by-window search cost about the same, whatever the transcript length
 SCAN_DIRECT_MAX_WINDOWS = 64
+# the principal ids of every session the CLI and the attack suite drive
+READER_ID, CONTROLLER_ID = b"NRD1", b"MNC1"
 
 
 @dataclass
@@ -35,8 +38,9 @@ class EndpointConfig:
     master: sc.MasterKey
     seed: int
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
+    def endpoint(self, role: hs.Role, peer_id: bytes) -> hs.HandshakeState:
+        """A fresh handshake endpoint of this principal, its rng seeded from ``seed``."""
+        return hs.HandshakeState(role, self.principal_id, peer_id, self.master, random.Random(self.seed))
 
 
 @dataclass
@@ -245,19 +249,6 @@ def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     return hits
 
 
-# One row per handshake frame after message 1: the message number a
-# failure is reported at (the message the receiving step would send, 5
-# for the final check), the frame's direction, and the step of the
-# receiving endpoint that consumes it and produces the next frame.
-HANDSHAKE_FLOW = (
-    (2, "reader->controller", "controller_respond"),
-    (3, "controller->reader", "reader_answer"),
-    (4, "reader->controller", "controller_key_confirm"),
-    (5, "controller->reader", "reader_key_confirm"),
-    (5, "reader->controller", "controller_finalize"),
-)
-
-
 def drive_session(
     channel: LinkChannel,
     reader_cfg: EndpointConfig,
@@ -270,22 +261,17 @@ def drive_session(
     are recorded in the outcome, never raised: the outcome names the
     message number and error that ended the session.
     """
-    reader = hs.HandshakeState.reader(
-        reader_cfg.principal_id, controller_cfg.principal_id, reader_cfg.master, reader_cfg.rng()
-    )
-    controller = hs.HandshakeState.controller(
-        controller_cfg.principal_id, reader_cfg.principal_id, controller_cfg.master,
-        controller_cfg.rng(),
-    )
+    reader = reader_cfg.endpoint(hs.Role.READER, controller_cfg.principal_id)
+    controller = controller_cfg.endpoint(hs.Role.CONTROLLER, reader_cfg.principal_id)
     plaintexts = [diagnostics.encode_diag(p) for p in workload]
     session = DrivenSession(SessionOutcome(), reader, plaintexts)
     outcome = session.outcome
     handshake, secure = sndef.RecordType.HANDSHAKE, sndef.RecordType.SNDEF_SECURE
 
     frame = reader.reader_start()
-    for msg_no, direction, operation in HANDSHAKE_FLOW:
+    for msg_no, direction, operation in hs.FLOW:
         wire = channel.transfer(direction, sndef.encode_message(handshake, frame))
-        receive = getattr(controller if direction.endswith("controller") else reader, operation)
+        receive = getattr(hs.receiver(direction, reader, controller), operation)
         frame = _attempt(outcome, msg_no, operation, lambda: receive(_unwrap(wire, handshake)))
         if frame is None:  # a failure, or the final step, which sends nothing
             break
@@ -293,7 +279,7 @@ def drive_session(
     outcome.established_controller = controller.phase == hs.Phase.ESTABLISHED
 
     if outcome.established:
-        for frame_no, plain in enumerate(session.plaintexts, start=6):
+        for frame_no, plain in enumerate(session.plaintexts, start=len(hs.FLOW) + 1):
             sealed = _attempt(outcome, frame_no, "seal_record", lambda: sndef.encode_message(
                 secure, sndef.encode_secure_payload(sc.seal_record(controller.channel, plain, b"", controller.rng))
             ))
@@ -335,10 +321,7 @@ def run_chosen_challenge(
     outcome = SessionOutcome()
     fake_reader_id = b"ADVR"
     for probe in strategy.probes:
-        controller = hs.HandshakeState.controller(
-            controller_cfg.principal_id, fake_reader_id, controller_cfg.master,
-            controller_cfg.rng(),
-        )
+        controller = controller_cfg.endpoint(hs.Role.CONTROLLER, fake_reader_id)
         m1 = hs.frame(1, fake_reader_id, probe)
         m2 = _attempt(outcome, 2, "controller_respond", lambda: controller.controller_respond(m1))
         if m2 is None:
@@ -419,20 +402,17 @@ def _random_workload(rng: random.Random, count: int) -> list:
 
 def _session_configs(rng: random.Random) -> tuple[EndpointConfig, EndpointConfig]:
     master = sc.MasterKey(rng.randbytes(16))
-    reader_cfg = EndpointConfig(b"NRD1", master, rng.randrange(1 << 48))
-    controller_cfg = EndpointConfig(b"MNC1", master, rng.randrange(1 << 48))
+    reader_cfg = EndpointConfig(READER_ID, master, rng.randrange(1 << 48))
+    controller_cfg = EndpointConfig(CONTROLLER_ID, master, rng.randrange(1 << 48))
     return reader_cfg, controller_cfg
 
 
 def _harvest_honest_frames(
     reader_cfg: EndpointConfig, controller_cfg: EndpointConfig, workload: list, rng: random.Random
 ) -> list:
-    prior_reader = EndpointConfig(reader_cfg.principal_id, reader_cfg.master, rng.randrange(1 << 48))
-    prior_controller = EndpointConfig(
-        controller_cfg.principal_id, controller_cfg.master, rng.randrange(1 << 48)
-    )
+    prior = [replace(cfg, seed=rng.randrange(1 << 48)) for cfg in (reader_cfg, controller_cfg)]
     channel = LinkChannel()
-    drive_session(channel, prior_reader, prior_controller, workload)
+    drive_session(channel, *prior, workload)
     return [f.delivered for f in channel.transcript]
 
 

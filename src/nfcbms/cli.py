@@ -41,9 +41,6 @@ EXIT_VERIFY = 4
 # simulator development key; any real deployment provisions its own
 DEFAULT_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 
-READER_ID = b"NRD1"
-CONTROLLER_ID = b"MNC1"
-
 
 def _load_key(args, attr: str = "key") -> sc.MasterKey:
     key_hex = getattr(args, attr, None)
@@ -90,8 +87,8 @@ def _session(args, reader_key, controller_key, packets: list):
     channel = adversary.LinkChannel()
     session = adversary.drive_session(
         channel,
-        adversary.EndpointConfig(READER_ID, reader_key, args.seed),
-        adversary.EndpointConfig(CONTROLLER_ID, controller_key, args.seed + 1),
+        adversary.EndpointConfig(adversary.READER_ID, reader_key, args.seed),
+        adversary.EndpointConfig(adversary.CONTROLLER_ID, controller_key, args.seed + 1),
         packets,
     )
     return channel, session

@@ -23,6 +23,9 @@ m4/m5 = secure record payload as defined by the sndef codec.  A frame is
 only these bytes: each step takes the peer's frame and returns its own,
 the very object it appends to ``transcript``, so messages 4 and 5 seal
 exactly the bytes that went on the wire.
+
+``FLOW`` states the step order once: ``run_honest_handshake`` and
+``adversary.drive_session`` both walk it.
 """
 
 from __future__ import annotations
@@ -254,14 +257,28 @@ class HandshakeState:
         self.phase = Phase.ESTABLISHED
 
 
+# One row per frame n, ``FLOW[n - 1]``, after ``reader_start`` sends frame 1:
+# the message a failure of its receiving step is reported at (the message that
+# step would send; 5 for the last), its direction, and that step.
+FLOW = (
+    (2, "reader->controller", "controller_respond"),
+    (3, "controller->reader", "reader_answer"),
+    (4, "reader->controller", "controller_key_confirm"),
+    (5, "controller->reader", "reader_key_confirm"),
+    (5, "reader->controller", "controller_finalize"),
+)
+
+
+def receiver(direction: str, reader: HandshakeState, controller: HandshakeState) -> HandshakeState:
+    """The endpoint a frame sent in ``direction`` is for."""
+    return controller if direction.endswith("controller") else reader
+
+
 def run_honest_handshake(
     reader: HandshakeState, controller: HandshakeState
 ) -> list[bytes]:
-    """Drive both endpoints directly (no link in between); returns the frames."""
-    m1 = reader.reader_start()
-    m2 = controller.controller_respond(m1)
-    m3 = reader.reader_answer(m2)
-    m4 = controller.controller_key_confirm(m3)
-    m5 = reader.reader_key_confirm(m4)
-    controller.controller_finalize(m5)
-    return [m1, m2, m3, m4, m5]
+    """Drive both endpoints along ``FLOW`` (no link in between); returns the frames."""
+    frames = [reader.reader_start()]
+    for _, direction, step in FLOW:
+        frames.append(getattr(receiver(direction, reader, controller), step)(frames[-1]))
+    return frames[:-1]  # the final step sends nothing

@@ -21,6 +21,7 @@ from .diagnostics import DiagPacket, json_int, packet_from_json, packet_to_json
 from .errors import NfcBmsError, RangeViolation, StoreError
 
 ENV_STORE_PATH = "BMS_STORE_PATH"
+_UNREADABLE = (ValueError, KeyError, TypeError, RecursionError, NfcBmsError)  # reading a corrupt line
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,10 @@ class PassportStore:
 
     def append(self, entry: PassportEntry) -> None:
         line = json.dumps(entry.to_json(), sort_keys=True) + "\n"
+        try:  # write only a line that reads back, or every later read is corrupt
+            PassportEntry.from_json(json.loads(line))
+        except _UNREADABLE as exc:
+            raise StoreError(f"{self.path}: refusing an entry that would not read back: {exc}") from exc
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as fh:
@@ -93,7 +98,7 @@ class PassportStore:
         for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             try:
                 out.append(PassportEntry.from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:
+            except _UNREADABLE as exc:
                 raise StoreError(f"{self.path}:{lineno}: corrupt entry: {exc}") from exc
         return out
 

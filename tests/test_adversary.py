@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_crypto as ref
-from nfcbms import adversary as adv, diagnostics as dg, sndef
+from nfcbms import adversary as adv, diagnostics as dg, handshake as hs, sndef
 
 
 def small_setup(seed: int = 1):
@@ -27,6 +27,27 @@ def test_honest_session_delivers_everything():
     assert outcome.first_failure is None
     assert outcome.secrecy_hits == []
     assert outcome.frames_on_link == 5 + len(workload)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("packets", [0, 1])
+def test_the_link_driver_puts_the_direct_drivers_handshake_on_the_link(seed, packets):
+    rng = random.Random(seed)
+    reader_cfg, controller_cfg = adv._session_configs(rng)
+    channel = adv.LinkChannel()
+    adv.drive_session(channel, reader_cfg, controller_cfg, adv._random_workload(rng, packets))
+    assert len(channel.transcript) == len(hs.FLOW) + packets
+    handshake_frames = channel.transcript[:len(hs.FLOW)]
+    on_link = [adv._unwrap(f.delivered, sndef.RecordType.HANDSHAKE) for f in handshake_frames]
+    reader = hs.HandshakeState.reader(
+        reader_cfg.principal_id, controller_cfg.principal_id, reader_cfg.master, random.Random(reader_cfg.seed)
+    )
+    controller = hs.HandshakeState.controller(
+        controller_cfg.principal_id, reader_cfg.principal_id, controller_cfg.master,
+        random.Random(controller_cfg.seed),
+    )
+    assert on_link == hs.run_honest_handshake(reader, controller)
+    assert [f.direction for f in handshake_frames] == [direction for _, direction, _ in hs.FLOW]
 
 
 def test_replayed_message2_blocked_at_message3():

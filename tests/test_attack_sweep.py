@@ -13,10 +13,11 @@ frames.  Each of these faults is played on a fresh copy of that session:
 Every run must end in a protocol error with nothing delivered and no
 plaintext on the link.  Per frame, fault and field, the
 ``(message, operation, error)`` outcomes and their run counts are pinned
-in ``golden/detection_map.json``, shown as a table in docs/formats.md
-("Detection map").  A flip counts against the field of its bit, a
-truncation against the field of its first missing byte.  Regenerate the
-golden only when detection is meant to change:
+in ``golden/detection_map.json``, rendered as the table in docs/formats.md
+("Detection map"), which a test compares with the golden.  A flip counts
+against the field of its bit, a truncation against the field of its
+first missing byte.  Regenerate the golden only when detection is meant
+to change; the command prints the table to paste into the docs:
 
     PYTHONPATH=src python tests/test_attack_sweep.py
 """
@@ -29,9 +30,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from nfcbms import adversary as adv
+from nfcbms import adversary as adv, handshake as hs
 
 GOLDEN = Path(__file__).with_name("golden") / "detection_map.json"
+DOCS = Path(__file__).parents[1] / "docs" / "formats.md"
 SEED = 13
 
 # byte layout of each link frame: (field, width), None running to the end
@@ -123,6 +125,47 @@ def test_every_single_fault_is_detected_where_the_map_says():
     assert detection_map() == golden
 
 
+def _cell(outcomes: list, default: tuple) -> str:
+    """Each outcome as ``error runs``, plus its message and step where they are not ``default``."""
+    return ", ".join(
+        f"`{error}` {runs}" + ("" if (message, step) == default else f" at {message} `{step}`")
+        for message, step, error, runs in outcomes
+    )
+
+
+def render_table(golden: dict) -> list:
+    """The lines of the docs' table of ``golden``: per frame, one row per field, then its replay.
+
+    A frame's failures are reported by default where its receiver reports
+    them: at ``hs.FLOW[n - 1]``'s message and step for handshake frame n, at
+    ``(n, "open_record")`` for record frame n.  A cell names the message and
+    step of an outcome only where they differ from that default.
+    """
+    rows = ["| frame | field | bit flips | truncations |", "|---|---|---|---|"]
+    for n in range(1, len(golden["frames"]) + 1):
+        if n <= len(hs.FLOW):
+            report_no, _, step = hs.FLOW[n - 1]
+            default = (report_no, step)
+        else:
+            default = (n, "open_record")
+        faults = golden["frames"][str(n)]["faults"]
+        for name, _ in LAYOUT[n]:
+            flips, cuts = (_cell(faults[fault][name], default) for fault in ("flip", "truncate"))
+            rows.append(f"| {n} | `{name}` | {flips} | {cuts} |")
+        rows.append(f"| {n} | replay | {_cell(faults['replay']['frame'], default)} | |")
+    return rows
+
+
+def test_the_docs_detection_map_is_the_golden_rendered():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    section = DOCS.read_text(encoding="utf-8").split("## Detection map\n", 1)[1].split("\n## ", 1)[0]
+    assert [line for line in section.splitlines() if line.startswith("|")] == render_table(golden)
+    sizes = [str(golden["frames"][str(n)]["bytes"]) for n in range(1, len(golden["frames"]) + 1)]
+    prose = " ".join(section.split())
+    assert f"(frames of {', '.join(sizes[:-1])} and {sizes[-1]} bytes)" in prose
+    assert f"{golden['runs']} runs in all" in prose
+
+
 def record() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(detection_map(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -130,3 +173,4 @@ def record() -> None:
 
 if __name__ == "__main__":
     record()
+    print("\n".join(render_table(json.loads(GOLDEN.read_text(encoding="utf-8")))))

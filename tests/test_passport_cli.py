@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -80,6 +81,26 @@ def test_store_corruption_is_structured_error(tmp_path):
         fh.write("{not json\n")
     with pytest.raises(StoreError):
         store.entries()
+
+
+@pytest.mark.parametrize("existing", [0, 1])
+@pytest.mark.parametrize("field, value", [("soc_permille", True), ("timestamp", 1.5)])
+def test_store_refuses_an_entry_its_reader_would_reject(field, value, existing, tmp_path, capsys):
+    # Python code can build such a report; written as is, every later read of the store exits 3
+    path = tmp_path / "s.ndjson"
+    store = passport.PassportStore(path)
+    for _ in range(existing):
+        store.append(make_entry(1, 100))
+    before = path.read_bytes() if existing else None
+    packet = dg.idle_packet(dataclasses.replace(make_entry(1, 0).diag.reports[0], **{field: value}), seq=1)
+    bad = passport.PassportEntry(bytes([1]) * 8, 200, packet, "bad", "IDLE_DIAG")
+    with pytest.raises(StoreError, match=f"would not read back: .*{field}"):
+        store.append(bad)
+    assert (path.read_bytes() if path.exists() else None) == before
+    store.append(make_entry(1, 300))
+    code, out = run_cli(["history", "01" * 8, "--store", str(path)], capsys)
+    assert code == 0
+    assert [e["received_at"] for e in json.loads(out)["entries"]] == [100] * existing + [300]
 
 
 @settings(max_examples=50, deadline=None,
