@@ -138,12 +138,10 @@ def _readout_packet(mode: str, text: str) -> diagnostics.DiagPacket:
     raw = json.loads(text)
     if not isinstance(raw, list) or not raw:
         raise ValueError("expected a non-empty JSON list of reports")
-    reports = [diagnostics.report_from_json(obj) for obj in raw]
+    reports = tuple(diagnostics.report_from_json(obj) for obj in raw)
     if mode == "active":
         return diagnostics.collect_from_bpcs(reports, seq=0)
-    if len(reports) != 1:
-        raise ValueError("idle readout covers exactly one stored pack")
-    return diagnostics.idle_packet(reports[0], seq=0)
+    return diagnostics.DiagPacket(diagnostics.UseCase.IDLE_DIAG, diagnostics.Origin.BPC, reports, 0)
 
 
 def cmd_readout(args) -> int:

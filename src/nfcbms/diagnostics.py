@@ -54,6 +54,12 @@ class StatusFlags(IntFlag):
     STORED = 0x0010
 
 
+def checked_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise RangeViolation(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class BpcReport:
     """One pack controller's status snapshot."""
@@ -67,6 +73,21 @@ class BpcReport:
     status_flags: int = 0
 
     def __post_init__(self) -> None:
+        cells, temps = self.cell_voltages_mv, self.temperatures_dk
+        # all types in the JSON reader's order, then all ranges; decode_diag's reports pass one test
+        if not (type(self.pack_id) is bytes and type(cells) is type(temps) is tuple and type(self.timestamp)
+                is type(self.soc_permille) is type(self.soh_permille) is type(self.status_flags) is int
+                and {int}.issuperset(map(type, cells + temps))):
+            if type(self.pack_id) is not bytes:
+                raise RangeViolation(f"pack_id must be bytes, not {type(self.pack_id).__name__}")
+            for name in ("timestamp", "soc_permille", "soh_permille"):
+                checked_int(getattr(self, name), name)
+            for name, value in (("cell_voltages_mv", cells), ("temperatures_dk", temps)):  # stored as tuples
+                if type(value) not in (list, tuple):
+                    raise RangeViolation(f"{name} must be a list of integers, not {type(value).__name__}")
+                checked_int(next((v for v in value if type(v) is not int), 0), f"{name} entry")
+                object.__setattr__(self, name, tuple(value))
+            checked_int(self.status_flags, "status_flags")
         if len(self.pack_id) != PACK_ID_LEN:
             raise RangeViolation("pack_id must be 8 bytes")
         if not 0 <= self.timestamp < 1 << 64:
@@ -75,13 +96,13 @@ class BpcReport:
             raise RangeViolation(f"soc_permille {self.soc_permille} > {SOC_SOH_MAX}")
         if not 0 <= self.soh_permille <= SOC_SOH_MAX:
             raise RangeViolation(f"soh_permille {self.soh_permille} > {SOC_SOH_MAX}")
-        if not 1 <= len(self.cell_voltages_mv) <= MAX_CELLS:
+        if not 1 <= len(cells) <= MAX_CELLS:
             raise RangeViolation("cell count must be 1..32")
-        if any(not 0 <= v <= MAX_CELL_MV for v in self.cell_voltages_mv):
+        if min(cells) < 0 or max(cells) > MAX_CELL_MV:
             raise RangeViolation("cell voltage outside 0..5000 mV")
-        if len(self.temperatures_dk) > 255:
+        if len(temps) > 255:
             raise RangeViolation("too many temperature entries")
-        if any(not -(1 << 15) <= t < 1 << 15 for t in self.temperatures_dk):
+        if temps and (min(temps) < -(1 << 15) or max(temps) >= 1 << 15):
             raise RangeViolation("temperature outside signed 16-bit range")
         if not 0 <= self.status_flags < 1 << 16:
             raise RangeViolation("status_flags outside 16-bit range")
@@ -95,7 +116,7 @@ class DiagPacket:
     sequence_no: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sequence_no < 1 << 32:
+        if not 0 <= checked_int(self.sequence_no, "sequence_no") < 1 << 32:
             raise RangeViolation("sequence_no outside 32-bit range")
         if not self.reports:
             raise EmptyInput("packet carries no reports")
@@ -189,7 +210,7 @@ def decode_diag(raw: bytes) -> DiagPacket:
     return DiagPacket(use_case=use_case, origin=origin, reports=tuple(reports), sequence_no=seq)
 
 
-# --- JSON views (CLI reports and the passport store) ---
+# --- JSON views (CLI reports and the passport store); the constructors check each value ---
 
 
 def report_to_json(r: BpcReport) -> dict:
@@ -204,28 +225,15 @@ def report_to_json(r: BpcReport) -> dict:
     }
 
 
-def json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or bool raises TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _json_ints(value, what: str) -> tuple:
-    if type(value) is not list:
-        raise TypeError(f"{what} must be a list of integers, not {type(value).__name__}")
-    return tuple(json_int(v, f"{what} entry") for v in value)
-
-
 def report_from_json(obj: dict) -> BpcReport:
     return BpcReport(
         pack_id=bytes.fromhex(obj["pack_id"]),
-        timestamp=json_int(obj["timestamp"], "timestamp"),
-        soc_permille=json_int(obj["soc_permille"], "soc_permille"),
-        soh_permille=json_int(obj["soh_permille"], "soh_permille"),
-        cell_voltages_mv=_json_ints(obj["cell_voltages_mv"], "cell_voltages_mv"),
-        temperatures_dk=_json_ints(obj["temperatures_dk"], "temperatures_dk"),
-        status_flags=json_int(obj.get("status_flags", 0), "status_flags"),
+        timestamp=obj["timestamp"],
+        soc_permille=obj["soc_permille"],
+        soh_permille=obj["soh_permille"],
+        cell_voltages_mv=obj["cell_voltages_mv"],
+        temperatures_dk=obj["temperatures_dk"],
+        status_flags=obj.get("status_flags", 0),
     )
 
 
@@ -243,7 +251,7 @@ def packet_from_json(obj: dict) -> DiagPacket:
         use_case=UseCase[obj["use_case"]],
         origin=Origin[obj["origin"]],
         reports=tuple(report_from_json(r) for r in obj["reports"]),
-        sequence_no=json_int(obj["sequence_no"], "sequence_no"),
+        sequence_no=obj["sequence_no"],
     )
 
 

@@ -103,10 +103,20 @@ def idle_power(model: PowerModel, method: Method) -> float:
     return model.idle_nw(method) / 1000
 
 
-@dataclass(frozen=True)
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise RangeViolation(f"{what} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
+@dataclass(frozen=True, init=False)  # each field set once: a scenario may hold thousands of readouts
 class Readout:
     start_s: float
     length_s: float
+
+    def __init__(self, start_s: float, length_s: float) -> None:
+        object.__setattr__(self, "start_s", _number(start_s, "start_s"))
+        object.__setattr__(self, "length_s", _number(length_s, "length_s"))
 
 
 @dataclass(frozen=True)
@@ -114,22 +124,15 @@ class StorageScenario:
     duration_days: float
     readouts: tuple = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "duration_days", _number(self.duration_days, "duration_days"))
+
     @classmethod
     def from_json(cls, obj: dict) -> "StorageScenario":
         return cls(
-            duration_days=_json_number(obj["duration_days"], "duration_days"),
-            readouts=tuple(
-                Readout(_json_number(r["start_s"], "start_s"), _json_number(r["length_s"], "length_s"))
-                for r in obj.get("readouts", ())
-            ),
+            duration_days=obj["duration_days"],
+            readouts=tuple(Readout(r["start_s"], r["length_s"]) for r in obj.get("readouts", ())),
         )
-
-
-def _json_number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; a string, bool or null raises TypeError."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
-    return float(value)
 
 
 @dataclass(frozen=True)

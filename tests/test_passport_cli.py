@@ -9,10 +9,10 @@ import sys
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nfcbms import cli, diagnostics as dg, passport, wakeup
-from nfcbms.errors import StoreError
+from nfcbms.errors import NfcBmsError, RangeViolation, StoreError
 
 KEY_HEX = "00112233445566778899aabbccddeeff"
 
@@ -86,21 +86,75 @@ def test_store_corruption_is_structured_error(tmp_path):
 @pytest.mark.parametrize("existing", [0, 1])
 @pytest.mark.parametrize("field, value", [("soc_permille", True), ("timestamp", 1.5)])
 def test_store_refuses_an_entry_its_reader_would_reject(field, value, existing, tmp_path, capsys):
-    # Python code can build such a report; written as is, every later read of the store exits 3
+    # the reader's type rule is the report's own: Python code cannot build such a report,
+    # so no such entry reaches the store, and the store keeps its bytes and takes later appends
     path = tmp_path / "s.ndjson"
     store = passport.PassportStore(path)
     for _ in range(existing):
         store.append(make_entry(1, 100))
     before = path.read_bytes() if existing else None
-    packet = dg.idle_packet(dataclasses.replace(make_entry(1, 0).diag.reports[0], **{field: value}), seq=1)
-    bad = passport.PassportEntry(bytes([1]) * 8, 200, packet, "bad", "IDLE_DIAG")
-    with pytest.raises(StoreError, match=f"would not read back: .*{field}"):
-        store.append(bad)
+    detail = f"{field} must be an integer, not {type(value).__name__}"
+    with pytest.raises(RangeViolation, match=f"^{detail}$"):
+        dataclasses.replace(make_entry(1, 0).diag.reports[0], **{field: value})
     assert (path.read_bytes() if path.exists() else None) == before
     store.append(make_entry(1, 300))
     code, out = run_cli(["history", "01" * 8, "--store", str(path)], capsys)
     assert code == 0
     assert [e["received_at"] for e in json.loads(out)["entries"]] == [100] * existing + [300]
+
+
+# values that are not integers: bools, floats, strs, None, lists, tuples and bytes
+MISTYPED = (st.booleans() | st.floats() | st.text(max_size=3) | st.none()
+            | st.lists(st.integers(0, 9), max_size=2) | st.tuples(st.integers(0, 9)) | st.binary(max_size=2))
+
+
+def mostly(valid, wrong):
+    """A value of ``valid`` nine times in ten, else one of ``wrong``."""
+    return st.integers(0, 9).flatmap(lambda k: wrong if k == 0 else valid)
+
+
+def ints(lo: int, hi: int):
+    return mostly(st.integers(lo, hi), st.sampled_from([lo - 1, hi + 1]) | MISTYPED)
+
+
+def int_lists(lo: int, hi: int, max_size: int):
+    listed = st.lists(st.integers(lo, hi), min_size=1, max_size=max_size)
+    one_wrong = st.tuples(listed, st.sampled_from([lo - 1, hi + 1]) | MISTYPED).map(lambda t: t[0] + [t[1]])
+    return mostly(listed | listed.map(tuple), one_wrong | MISTYPED)
+
+
+REPORT_VALUES = {
+    "pack_id": mostly(st.binary(min_size=8, max_size=8),
+                      st.binary(min_size=7, max_size=9) | st.binary(min_size=8, max_size=8).map(bytearray)
+                      | MISTYPED),
+    "timestamp": ints(0, (1 << 64) - 1),
+    "soc_permille": ints(0, 1000),
+    "soh_permille": ints(0, 1000),
+    "cell_voltages_mv": int_lists(0, 5000, 32),
+    "temperatures_dk": int_lists(-(1 << 15), (1 << 15) - 1, 4),
+    "status_flags": ints(0, 0xFFFF),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.fixed_dictionaries(REPORT_VALUES), seq=ints(0, (1 << 32) - 1),
+       received_at=ints(0, (1 << 64) - 1))
+# a float timestamp passes every range check, and struct cannot encode it
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8, timestamp=1.5), seq=0, received_at=0)
+def test_a_built_report_packet_and_entry_round_trip_exactly(fields, seq, received_at, tmp_path):
+    # whatever Python code passes in, building raises a structured error or gives values
+    # that the wire codec, the JSON view and the store all give back unchanged
+    try:
+        packet = dg.idle_packet(dg.BpcReport(**fields), seq=seq)
+        entry = passport.PassportEntry(fields["pack_id"], received_at, packet, "s1", "IDLE_DIAG")
+    except NfcBmsError:
+        return
+    assert dg.decode_diag(dg.encode_diag(packet)) == packet
+    assert dg.packet_from_json(json.loads(json.dumps(dg.packet_to_json(packet)))) == packet
+    store = passport.PassportStore(tmp_path / "s.ndjson")
+    store.path.unlink(missing_ok=True)
+    store.append(entry)
+    assert store.history(entry.pack_id) == [entry]
 
 
 @settings(max_examples=50, deadline=None,
@@ -321,15 +375,19 @@ def test_cli_history_corrupt_store_exit3(tmp_path, capsys):
         ("entry", "session_id", {"x": [1, 2]}, "session_id must be a string"),
         ("entry", "source", 7, "source must be the packet's use case IDLE_DIAG"),
         ("entry", "source", "ACTIVE_DIAG", "source must be the packet's use case IDLE_DIAG"),
+        # two faults: every type is checked before any range
+        ("report", ("soc_permille", "cell_voltages_mv"), (5000, "4100"),
+         "cell_voltages_mv must be a list of integers, not str"),
     ],
     ids=["soc-out-of-range", "cells-string", "soh-float", "sequence-bool", "received-at-string",
          "received-at-negative", "received-at-past-64-bits", "pack-id-short",
-         "pack-id-of-no-report", "session-id-object", "source-number", "source-other-use-case"],
+         "pack-id-of-no-report", "session-id-object", "source-number", "source-other-use-case",
+         "soc-out-of-range-and-cells-string"],
 )
 def test_cli_history_out_of_range_or_mistyped_store_value_exit3(where, key, value, detail, tmp_path, capsys):
     line = make_entry(1, 100).to_json()
     target = {"entry": line, "diag": line["diag"], "report": line["diag"]["reports"][0]}[where]
-    target[key] = value
+    target.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
     store = tmp_path / "s.ndjson"
     store.write_text(json.dumps(line) + "\n")
     code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
@@ -445,6 +503,9 @@ def one_report(**fields) -> str:
          "error: bad reports file: soc_permille must be an integer, not str"),
         (READOUT, one_report(status_flags=True),
          "error: bad reports file: status_flags must be an integer, not bool"),
+        # two faults: every type is checked before any range
+        (READOUT, one_report(soc_permille=5000, cell_voltages_mv="4100"),
+         "error: bad reports file: cell_voltages_mv must be a list of integers, not str"),
         (["wakeup-sim", "--scenario", "f"], '{"duration_days": 1' + "0" * 400 + "}",
          "error: bad scenario file: int too large to convert to float"),
         (READOUT, b"[\xff]", "error: cannot read reports file: 'utf-8' codec"),
@@ -455,8 +516,9 @@ def one_report(**fields) -> str:
     ],
     ids=["reports-deep", "scenario-deep", "model-deep", "reports-duplicate-pack",
          "reports-infinite-timestamp", "reports-string-cells", "reports-float-temperature",
-         "reports-float-soh", "reports-string-soc", "reports-bool-flags", "scenario-huge-int",
-         "reports-not-utf8", "scenario-not-utf8", "model-not-utf8"],
+         "reports-float-soh", "reports-string-soc", "reports-bool-flags",
+         "reports-soc-range-and-cells-type", "scenario-huge-int", "reports-not-utf8",
+         "scenario-not-utf8", "model-not-utf8"],
 )
 def test_cli_rejects_a_bad_input_file(argv, content, expected, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

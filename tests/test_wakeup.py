@@ -61,6 +61,26 @@ def test_model_invariants_enforced():
         )
 
 
+@pytest.mark.parametrize("value", ["1", True, None])
+@pytest.mark.parametrize("field, build", [
+    ("duration_days", lambda v: wk.StorageScenario(v)),
+    ("start_s", lambda v: wk.Readout(v, 5)),
+    ("length_s", lambda v: wk.Readout(10, v)),
+])
+def test_scenario_refuses_a_value_that_is_not_a_number(field, build, value):
+    # refused when built, never simulated: "1" * US_PER_DAY would be an 86 GB string
+    with pytest.raises(RangeViolation, match=f"^{field} must be a number, not {type(value).__name__}$"):
+        build(value)
+
+
+def test_scenario_stores_its_numbers_as_floats():
+    scenario = wk.StorageScenario(1, (wk.Readout(10, 5),))
+    (readout,) = scenario.readouts
+    assert {type(v) for v in (scenario.duration_days, readout.start_s, readout.length_s)} == {float}
+    read = wk.StorageScenario.from_json({"duration_days": 1, "readouts": [{"start_s": 10, "length_s": 5}]})
+    assert read == scenario
+
+
 # --- simulation ---
 
 
