@@ -22,6 +22,7 @@ Exit codes (frozen for scripting):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -134,14 +135,14 @@ def cmd_handshake(args) -> int:
 
 
 def _readout_packet(mode: str, text: str) -> diagnostics.DiagPacket:
-    """The packet a readout sends: a reports file's text, validated."""
+    """The packet a readout sends: a reports file's text, validated (an idle one holds one report)."""
     raw = json.loads(text)
     if not isinstance(raw, list) or not raw:
         raise ValueError("expected a non-empty JSON list of reports")
     reports = tuple(diagnostics.report_from_json(obj) for obj in raw)
     if mode == "active":
         return diagnostics.collect_from_bpcs(reports, seq=0)
-    return diagnostics.DiagPacket(diagnostics.UseCase.IDLE_DIAG, diagnostics.Origin.BPC, reports, 0)
+    return dataclasses.replace(diagnostics.idle_packet(reports[0], seq=0), reports=reports)
 
 
 def cmd_readout(args) -> int:

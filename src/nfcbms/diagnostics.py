@@ -54,9 +54,9 @@ class StatusFlags(IntFlag):
     STORED = 0x0010
 
 
-def checked_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise RangeViolation(f"{what} must be an integer, not {type(value).__name__}")
+def checked(value, what: str, kind: type = int, noun: str = "an integer"):
+    if type(value) is not kind:
+        raise RangeViolation(f"{what} must be {noun}, not {type(value).__name__}")
     return value
 
 
@@ -78,16 +78,15 @@ class BpcReport:
         if not (type(self.pack_id) is bytes and type(cells) is type(temps) is tuple and type(self.timestamp)
                 is type(self.soc_permille) is type(self.soh_permille) is type(self.status_flags) is int
                 and {int}.issuperset(map(type, cells + temps))):
-            if type(self.pack_id) is not bytes:
-                raise RangeViolation(f"pack_id must be bytes, not {type(self.pack_id).__name__}")
+            checked(self.pack_id, "pack_id", bytes, "bytes")
             for name in ("timestamp", "soc_permille", "soh_permille"):
-                checked_int(getattr(self, name), name)
+                checked(getattr(self, name), name)
             for name, value in (("cell_voltages_mv", cells), ("temperatures_dk", temps)):  # stored as tuples
                 if type(value) not in (list, tuple):
                     raise RangeViolation(f"{name} must be a list of integers, not {type(value).__name__}")
-                checked_int(next((v for v in value if type(v) is not int), 0), f"{name} entry")
+                checked(next((v for v in value if type(v) is not int), 0), f"{name} entry")
                 object.__setattr__(self, name, tuple(value))
-            checked_int(self.status_flags, "status_flags")
+            checked(self.status_flags, "status_flags")
         if len(self.pack_id) != PACK_ID_LEN:
             raise RangeViolation("pack_id must be 8 bytes")
         if not 0 <= self.timestamp < 1 << 64:
@@ -116,7 +115,10 @@ class DiagPacket:
     sequence_no: int
 
     def __post_init__(self) -> None:
-        if not 0 <= checked_int(self.sequence_no, "sequence_no") < 1 << 32:
+        checked(self.use_case, "use_case", UseCase, "a UseCase")
+        checked(self.origin, "origin", Origin, "an Origin")
+        checked(self.reports, "reports", tuple, "a tuple")
+        if not 0 <= checked(self.sequence_no, "sequence_no") < 1 << 32:
             raise RangeViolation("sequence_no outside 32-bit range")
         if not self.reports:
             raise EmptyInput("packet carries no reports")
@@ -126,7 +128,7 @@ class DiagPacket:
             raise RangeViolation("idle diagnostic packets carry exactly one report")
         seen = set()
         for r in self.reports:
-            if r.pack_id in seen:
+            if checked(r, "report", BpcReport, "a BpcReport").pack_id in seen:
                 raise DuplicatePackId(f"pack id {r.pack_id.hex()} appears twice")
             seen.add(r.pack_id)
 

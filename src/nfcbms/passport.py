@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diagnostics import DiagPacket, checked_int, packet_from_json, packet_to_json
+from .diagnostics import DiagPacket, checked, packet_from_json, packet_to_json
 from .errors import NfcBmsError, RangeViolation, StoreError
 
 ENV_STORE_PATH = "BMS_STORE_PATH"
@@ -34,7 +34,7 @@ class PassportEntry:
     def __post_init__(self) -> None:
         if self.pack_id not in [r.pack_id for r in self.diag.reports]:
             raise RangeViolation("entry pack_id must be the pack id of one of its reports")
-        if not 0 <= checked_int(self.received_at, "received_at") < 1 << 64:
+        if not 0 <= checked(self.received_at, "received_at") < 1 << 64:
             raise RangeViolation("received_at outside [0, 2**64)")
         if type(self.session_id) is not str:
             raise RangeViolation("session_id must be a string")

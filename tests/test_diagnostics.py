@@ -65,6 +65,24 @@ def test_idle_packet_carries_exactly_one_report():
         )
 
 
+@pytest.mark.parametrize(
+    "use_case, origin, reports, detail",
+    [
+        (dg.Origin.BPC, dg.Origin.BPC, (make_report(1),), "use_case must be a UseCase, not Origin"),
+        (dg.UseCase.IDLE_DIAG, dg.UseCase.IDLE_DIAG, (make_report(1),), "origin must be an Origin, not UseCase"),
+        (dg.UseCase.IDLE_DIAG, dg.Origin.BPC, [make_report(1)], "reports must be a tuple, not list"),
+        (dg.UseCase.ACTIVE_DIAG, dg.Origin.BMS_CONTROLLER, (make_report(1), dg.report_to_json(make_report(2))),
+         "report must be a BpcReport, not dict"),
+    ],
+    ids=["use-case-an-origin", "origin-a-use-case", "reports-a-list", "report-a-dict"],
+)
+def test_packet_refuses_a_field_of_another_type(use_case, origin, reports, detail):
+    # the JSON view writes use_case and origin by name, so an origin given as a use case
+    # would be written as a line the store reader refuses
+    with pytest.raises(RangeViolation, match=f"^{detail}$"):
+        dg.DiagPacket(use_case, origin, reports, 0)
+
+
 def test_packet_carries_at_most_65535_reports():
     # report_count is two bytes
     def packet(reports):

@@ -136,17 +136,37 @@ REPORT_VALUES = {
 }
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fields=st.fixed_dictionaries(REPORT_VALUES), seq=ints(0, (1 << 32) - 1),
-       received_at=ints(0, (1 << 64) - 1))
+# the rest of a packet and an entry: use_case and origin from either enum or as ints
+PACKET_VALUES = {
+    "use_case": mostly(st.sampled_from(dg.UseCase), st.sampled_from(dg.Origin) | st.integers(0, 4) | MISTYPED),
+    "origin": mostly(st.sampled_from(dg.Origin), st.sampled_from(dg.UseCase) | st.integers(0, 3) | MISTYPED),
+    "container": mostly(st.just(tuple), st.just(list)),
+    "sequence_no": ints(0, (1 << 32) - 1),
+    "received_at": ints(0, (1 << 64) - 1),
+    "session_id": mostly(st.text(max_size=4), MISTYPED),
+    "source": mostly(st.sampled_from([u.name for u in dg.UseCase]), st.sampled_from([o.name for o in dg.Origin])
+                     | MISTYPED),
+}
+VALID_PACKET = dict(use_case=dg.UseCase.IDLE_DIAG, origin=dg.Origin.BPC, container=tuple, sequence_no=0,
+                    received_at=0, session_id="s1", source="IDLE_DIAG")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.fixed_dictionaries(REPORT_VALUES), rest=st.fixed_dictionaries(PACKET_VALUES))
 # a float timestamp passes every range check, and struct cannot encode it
-@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8, timestamp=1.5), seq=0, received_at=0)
-def test_a_built_report_packet_and_entry_round_trip_exactly(fields, seq, received_at, tmp_path):
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8, timestamp=1.5), rest=VALID_PACKET)
+# a use case given as an origin, or an origin as a use case, is written under a name the reader refuses
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8), rest=dict(VALID_PACKET, origin=dg.UseCase.IDLE_DIAG))
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8), rest=dict(VALID_PACKET, use_case=dg.Origin.BPC,
+                                                                      source="BPC"))
+def test_a_built_report_packet_and_entry_round_trip_exactly(fields, rest, tmp_path):
     # whatever Python code passes in, building raises a structured error or gives values
     # that the wire codec, the JSON view and the store all give back unchanged
     try:
-        packet = dg.idle_packet(dg.BpcReport(**fields), seq=seq)
-        entry = passport.PassportEntry(fields["pack_id"], received_at, packet, "s1", "IDLE_DIAG")
+        report = dg.BpcReport(**fields)
+        packet = dg.DiagPacket(rest["use_case"], rest["origin"], rest["container"]([report]), rest["sequence_no"])
+        entry = passport.PassportEntry(fields["pack_id"], rest["received_at"], packet, rest["session_id"],
+                                       rest["source"])
     except NfcBmsError:
         return
     assert dg.decode_diag(dg.encode_diag(packet)) == packet
