@@ -14,6 +14,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,31 +81,34 @@ class PassportStore:
             raise StoreError(f"cannot append to {self.path}: {exc}") from exc
 
     def entries(self) -> list[PassportEntry]:
+        return list(self._read())
+
+    def _read(self) -> Iterator[PassportEntry]:
+        """Each committed entry in file order, built (so checked) as reached, from text decoded whole."""
         if not self.path.exists():
-            return []
+            return
         try:
             with open(self.path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                text = _committed(fh.read()).decode("utf-8")
+                lines = _committed(fh.read()).decode("utf-8").split("\n")[:-1]
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise StoreError(f"{self.path}: corrupt store: {exc}") from exc
-        out = []
-        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        for lineno, line in enumerate(lines, start=1):
             try:
-                out.append(PassportEntry.from_json(json.loads(line)))
+                entry = PassportEntry.from_json(json.loads(line))
             except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:
                 raise StoreError(f"{self.path}:{lineno}: corrupt entry: {exc}") from exc
-        return out
+            yield entry
 
     def history(self, pack_id: bytes) -> list[PassportEntry]:
         """Entries covering one pack, time-ordered (stable for equal stamps).
 
-        Aggregated readouts count: an entry matches if any of its
-        reports came from the pack (its own key is one of them).
+        Aggregated readouts count: an entry matches if any of its reports came from the
+        pack (its own key is one of them).  Each line is checked before it is matched.
         """
-        matching = [e for e in self.entries() if pack_id in [r.pack_id for r in e.diag.reports]]
+        matching = [e for e in self._read() if pack_id in [r.pack_id for r in e.diag.reports]]
         return sorted(matching, key=lambda e: e.received_at)
 
 

@@ -126,6 +126,12 @@ class StorageScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "duration_days", _number(self.duration_days, "duration_days"))
+        if type(self.readouts) not in (list, tuple):
+            raise RangeViolation(f"readouts must be a list of Readout, not {type(self.readouts).__name__}")
+        for r in self.readouts:
+            if type(r) is not Readout:
+                raise RangeViolation(f"readouts entry must be a Readout, not {type(r).__name__}")
+        object.__setattr__(self, "readouts", tuple(self.readouts))
 
     @classmethod
     def from_json(cls, obj: dict) -> "StorageScenario":
@@ -150,9 +156,23 @@ class TraceEvent:
 class WakeupTrace:
     method: Method
     duration_us: int
-    events: list
+    model: PowerModel
+    windows: list  # sorted (start, end, length) readout windows in us
     idle_nwus: int  # exact energies in nW*us; the uJ and uW figures derive from them
     active_nwus: int
+
+    @property
+    def events(self) -> list:
+        """The power profile as state changes, built on each call: only a trace file prints it."""
+        model, method = self.model, self.method
+        idle_nw, wake_nw, session_nw = model.idle_nw(method), model.wakeup_nw(method), model.session_nw()
+        wake_state = "wakeup" if method == Method.ED else "harvest_wakeup"
+        latency_us = model.wakeup_latency_us(method)
+        events = [TraceEvent(0, "idle", idle_nw)]
+        for start, end, _ in self.windows:
+            events += (TraceEvent(start, wake_state, wake_nw),
+                       TraceEvent(start + latency_us, "session", session_nw), TraceEvent(end, "idle", idle_nw))
+        return events
 
     @property
     def energy_nwus(self) -> int:
@@ -207,7 +227,6 @@ def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> Wa
     if duration_us <= 0:
         raise RangeViolation("duration must be at least one microsecond")
     latency_us = model.wakeup_latency_us(method)
-    wake_state = "wakeup" if method == Method.ED else "harvest_wakeup"
 
     windows = []
     for r in scenario.readouts:
@@ -224,21 +243,13 @@ def simulate(model: PowerModel, scenario: StorageScenario, method: Method) -> Wa
         if next_start < prev_end:
             raise OverlappingSessions("readout windows overlap (wake-up latency included)")
 
-    idle_nw = model.idle_nw(method)
-    wake_nw = model.wakeup_nw(method)
-    session_nw = model.session_nw()
-
-    events = [TraceEvent(0, "idle", idle_nw)]
-    for start, end, length in windows:
-        events.append(TraceEvent(start, wake_state, wake_nw))
-        events.append(TraceEvent(start + latency_us, "session", session_nw))
-        events.append(TraceEvent(end, "idle", idle_nw))
+    idle_nw, wake_nw, session_nw = model.idle_nw(method), model.wakeup_nw(method), model.session_nw()
 
     # each window draws wake-up power for the latency, then session power;
     # the rest of the period is idle
     active_nwus = sum(latency_us * wake_nw + length * session_nw for _, _, length in windows)
     idle_nwus = idle_nw * (duration_us - sum(end - start for start, end, _ in windows))
-    return WakeupTrace(method, duration_us, events, idle_nwus, active_nwus)
+    return WakeupTrace(method, duration_us, model, windows, idle_nwus, active_nwus)
 
 
 def compare_methods(model: PowerModel, scenario: StorageScenario) -> dict:

@@ -57,6 +57,11 @@ INPUTS = {
     "goals.ban": "# one bundled goal and one intermediate belief\n"
                  "G1.1: NR |= MN |= NR <-KM-> MN\n\n"
                  "S2: NR |= MN |~ (chr, NR <-KM-> MN)\n",
+    # three readouts, out of time order: the trace lists them sorted
+    "readouts.json": json.dumps({"duration_days": 1, "readouts": [
+        {"start_s": 43200, "length_s": 60}, {"start_s": 3600, "length_s": 0.5},
+        {"start_s": 7200.25, "length_s": 30},
+    ]}),
 }
 
 
@@ -94,6 +99,9 @@ CASES = {
     "wakeup-sim-both": [["wakeup-sim", "--method", "both"]],
     "wakeup-sim-text": [["wakeup-sim", "--format", "text"]],
     "wakeup-sim-ed-trace": [["wakeup-sim", "--method", "ed", "--trace-out", "trace.jsonl"]],
+    "wakeup-sim-eh-scenario-trace": [
+        ["wakeup-sim", "--method", "eh", "--scenario", "readouts.json", "--trace-out", "trace.jsonl"],
+    ],
     "attack-seed0-json": [_attack(0, "json")],
     "attack-seed0-text": [_attack(0, "text")],
     "attack-seed7-json": [_attack(7, "json")],

@@ -218,6 +218,31 @@ def test_history_matches_packs_inside_aggregates(tmp_path):
     assert len(store.history(bytes([2]) * 8)) == 1
 
 
+# each stored entry: the packs its reports come from (one is an idle readout), and its stamp
+STORED = st.lists(st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+                            st.integers(0, 3)), max_size=12)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stored=STORED, pack=st.integers(1, 5))
+def test_history_is_the_sorted_entries_that_carry_the_pack(stored, pack, tmp_path):
+    # history keeps only matches as it reads, so it must agree with filtering the full list
+    entries = []
+    for i, (packs, received_at) in enumerate(stored):
+        reports = [dg.report_from_json(report_dict(n)) for n in packs]
+        packet = dg.idle_packet(reports[0], seq=i) if i % 2 else dg.collect_from_bpcs(reports, seq=i)
+        entries.append(passport.PassportEntry(packet.reports[0].pack_id, received_at, packet, f"s{i}",
+                                              packet.use_case.name))
+    path = tmp_path / "s.ndjson"
+    path.write_text("".join(json.dumps(e.to_json(), sort_keys=True) + "\n" for e in entries))
+    store = passport.PassportStore(path)
+    assert store.entries() == entries
+    carried = bytes([pack]) * 8
+    expected = sorted((e for e in entries if carried in [r.pack_id for r in e.diag.reports]),
+                      key=lambda e: e.received_at)
+    assert store.history(carried) == expected
+
+
 # --- CLI ---
 
 
@@ -624,6 +649,26 @@ def test_cli_history_pack_id_must_be_8_bytes(pack_id, tmp_path, capsys):
     assert err == f"error: pack id must be 8 bytes, got {len(pack_id) // 2}\n"
 
 
+def test_cli_history_corrupt_line_after_the_last_match_exit3(tmp_path, capsys):
+    # every line is checked before it is matched, and faults are reported in file order
+    match, other = (json.dumps(make_entry(n, 100 * n).to_json()) for n in (1, 2))
+    store = tmp_path / "s.ndjson"
+    store.write_text(f"{match}\n{other}\n{match}\n{other}\n{{not json\n{other}\n[]\n")
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err == (f"store error: {store}:5: corrupt entry: "
+                   "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
+
+
+def test_cli_history_undecodable_byte_after_a_corrupt_line_is_a_corrupt_store(tmp_path, capsys):
+    # the whole store is decoded before any line is parsed, so the decode error comes first
+    store = tmp_path / "s.ndjson"
+    store.write_bytes(b"{not json\n" + json.dumps(make_entry(1, 100).to_json()).encode() + b"\n\xff\n")
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err.startswith(f"store error: {store}: corrupt store: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_cli_history_undecodable_store_exit3(tmp_path, capsys):
     store = tmp_path / "s.ndjson"
     store.write_bytes(b"\xff\xfe\n")
@@ -689,6 +734,29 @@ def test_cli_wakeup_sim_trace_out_simulates_each_design_once(tmp_path, capsys, m
     assert sorted(calls) == [wakeup.Method.ED, wakeup.Method.EH]
     one_day = wakeup.StorageScenario(duration_days=1.0)
     assert trace.read_text() == simulate(wakeup.PowerModel(), one_day, wakeup.Method.ED).to_jsonl() + "\n"
+
+
+def test_cli_wakeup_sim_builds_trace_events_only_for_trace_out(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class Counted(wakeup.TraceEvent):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(wakeup, "TraceEvent", Counted)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"duration_days": 1, "readouts": [
+        {"start_s": 60 * n, "length_s": 5} for n in (3, 1, 2)]}))
+    for method in ("both", "ed", "eh"):
+        code, _ = run_cli(["wakeup-sim", "--method", method, "--scenario", str(scenario)], capsys)
+        assert code == 0
+    assert built == []
+    trace = tmp_path / "trace.jsonl"
+    code, _ = run_cli(["wakeup-sim", "--method", "eh", "--scenario", str(scenario),
+                       "--trace-out", str(trace)], capsys)
+    assert code == 0
+    assert len(built) == len(trace.read_text().splitlines()) == 1 + 3 * 3
 
 
 def test_cli_wakeup_sim_scenario_with_days_is_usage_error(tmp_path, capsys):

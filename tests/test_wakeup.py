@@ -81,6 +81,22 @@ def test_scenario_stores_its_numbers_as_floats():
     assert read == scenario
 
 
+def test_scenario_refuses_readouts_that_are_not_readouts():
+    # a JSON-style dict is refused when the scenario is built, not when it is simulated
+    with pytest.raises(RangeViolation, match="^readouts entry must be a Readout, not dict$"):
+        wk.StorageScenario(1, ({"start_s": 10, "length_s": 5},))
+    with pytest.raises(RangeViolation, match="^readouts must be a list of Readout, not dict$"):
+        wk.StorageScenario(1, {"start_s": 10, "length_s": 5})
+
+
+def test_scenario_stores_a_list_of_readouts_as_a_tuple():
+    listed = wk.StorageScenario(1, [wk.Readout(10, 5)])
+    held = wk.StorageScenario(1, (wk.Readout(10, 5),))
+    assert listed.readouts == (wk.Readout(10, 5),)
+    assert listed == held
+    assert hash(listed) == hash(held)
+
+
 # --- simulation ---
 
 
