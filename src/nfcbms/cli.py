@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import secrets
 import sys
 from importlib import resources
 from pathlib import Path
@@ -83,13 +84,20 @@ def _emit(args, payload: dict, text_renderer) -> None:
         print(text_renderer(payload))
 
 
-def _session(args, reader_key, controller_key, packets: list):
+def _seed(args) -> int:
+    """``--seed``, else 0; a readout without it draws one from the OS, so a recorded readout cannot replay."""
+    if args.seed is None:
+        return secrets.randbits(128) if args.command == "readout" else 0
+    return args.seed
+
+
+def _session(seed: int, reader_key, controller_key, packets: list):
     """Drive one session over an honest link; returns the channel and the session."""
     channel = adversary.LinkChannel()
     session = adversary.drive_session(
         channel,
-        adversary.EndpointConfig(adversary.READER_ID, reader_key, args.seed),
-        adversary.EndpointConfig(adversary.CONTROLLER_ID, controller_key, args.seed + 1),
+        adversary.EndpointConfig(adversary.READER_ID, reader_key, seed),
+        adversary.EndpointConfig(adversary.CONTROLLER_ID, controller_key, seed + 1),
         packets,
     )
     return channel, session
@@ -106,11 +114,12 @@ def _store(args) -> passport.PassportStore:
 def cmd_handshake(args) -> int:
     reader_key = _load_key(args)
     controller_key = _load_key(args, "controller_key") if args.controller_key is not None else reader_key
-    channel, session = _session(args, reader_key, controller_key, [])
+    seed = _seed(args)
+    channel, session = _session(seed, reader_key, controller_key, [])
     outcome = session.outcome
     payload = {
         "command": "handshake",
-        "seed": args.seed,
+        "seed": seed,
         "outcome": outcome.to_json(),
         "frames": [
             {"no": f.frame_no, "direction": f.direction, "bytes": len(f.delivered)}
@@ -149,7 +158,7 @@ def cmd_readout(args) -> int:
     key = _load_key(args)
     packet = _read_input(args.reports, "reports file", lambda text: _readout_packet(args.mode, text))
 
-    _, session = _session(args, key, key, [packet])
+    _, session = _session(_seed(args), key, key, [packet])
     failure = session.outcome.first_failure
     if failure is not None:
         _emit(args, {"command": "readout", "error": failure.error, "detail": failure.detail},
@@ -264,7 +273,7 @@ def cmd_attack(args) -> int:
     if args.runs < 1:
         raise UsageError(f"--runs must be at least 1, got {args.runs}")
     strategies = adversary.STRATEGY_NAMES if args.strategy == "all" else (args.strategy,)
-    report = adversary.run_attack_suite(args.seed, args.runs, strategies=strategies)
+    report = adversary.run_attack_suite(_seed(args), args.runs, strategies=strategies)
     payload = {"command": "attack", "report": report.to_json()}
 
     def text(p):
@@ -322,7 +331,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
     def dflt(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--seed", type=int, default=dflt(0), help="deterministic RNG seed")
+    parser.add_argument("--seed", type=int, default=dflt(None), help="RNG seed (default 0; fresh per readout)")
     parser.add_argument("--key", default=dflt(None), help="master key as 32 hex chars")
     parser.add_argument("--key-file", default=dflt(None), help="file containing the master key hex")
     parser.add_argument("--format", choices=("json", "text"), default=dflt("json"))

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 
-from .errors import DuplicatePackId, EmptyInput, RangeViolation, Truncated
+from .errors import DuplicatePackId, EmptyInput, RangeViolation, Truncated, checked, checked_items
 
 PACK_ID_LEN = 8
 MAX_CELLS = 32
@@ -54,12 +54,6 @@ class StatusFlags(IntFlag):
     STORED = 0x0010
 
 
-def checked(value, what: str, kind: type = int, noun: str = "an integer"):
-    if type(value) is not kind:
-        raise RangeViolation(f"{what} must be {noun}, not {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class BpcReport:
     """One pack controller's status snapshot."""
@@ -74,18 +68,19 @@ class BpcReport:
 
     def __post_init__(self) -> None:
         cells, temps = self.cell_voltages_mv, self.temperatures_dk
-        # all types in the JSON reader's order, then all ranges; decode_diag's reports pass one test
+        if type(cells) is list:  # the JSON view's lists are stored as the wire's tuples
+            object.__setattr__(self, "cell_voltages_mv", cells := tuple(cells))
+        if type(temps) is list:
+            object.__setattr__(self, "temperatures_dk", temps := tuple(temps))
+        # all types, then all ranges: one type test, and a walk in the JSON reader's order if it fails
         if not (type(self.pack_id) is bytes and type(cells) is type(temps) is tuple and type(self.timestamp)
                 is type(self.soc_permille) is type(self.soh_permille) is type(self.status_flags) is int
                 and {int}.issuperset(map(type, cells + temps))):
-            checked(self.pack_id, "pack_id", bytes, "bytes")
+            checked(self.pack_id, "pack_id", (bytes,), "bytes")
             for name in ("timestamp", "soc_permille", "soh_permille"):
                 checked(getattr(self, name), name)
-            for name, value in (("cell_voltages_mv", cells), ("temperatures_dk", temps)):  # stored as tuples
-                if type(value) not in (list, tuple):
-                    raise RangeViolation(f"{name} must be a list of integers, not {type(value).__name__}")
-                checked(next((v for v in value if type(v) is not int), 0), f"{name} entry")
-                object.__setattr__(self, name, tuple(value))
+            checked_items(cells, "cell_voltages_mv", (int,), "integers", "an integer")
+            checked_items(temps, "temperatures_dk", (int,), "integers", "an integer")
             checked(self.status_flags, "status_flags")
         if len(self.pack_id) != PACK_ID_LEN:
             raise RangeViolation("pack_id must be 8 bytes")
@@ -115,9 +110,9 @@ class DiagPacket:
     sequence_no: int
 
     def __post_init__(self) -> None:
-        checked(self.use_case, "use_case", UseCase, "a UseCase")
-        checked(self.origin, "origin", Origin, "an Origin")
-        checked(self.reports, "reports", tuple, "a tuple")
+        checked(self.use_case, "use_case", (UseCase,), "a UseCase")
+        checked(self.origin, "origin", (Origin,), "an Origin")
+        checked(self.reports, "reports", (tuple,), "a tuple")
         if not 0 <= checked(self.sequence_no, "sequence_no") < 1 << 32:
             raise RangeViolation("sequence_no outside 32-bit range")
         if not self.reports:
@@ -128,7 +123,7 @@ class DiagPacket:
             raise RangeViolation("idle diagnostic packets carry exactly one report")
         seen = set()
         for r in self.reports:
-            if checked(r, "report", BpcReport, "a BpcReport").pack_id in seen:
+            if checked(r, "report", (BpcReport,), "a BpcReport").pack_id in seen:
                 raise DuplicatePackId(f"pack id {r.pack_id.hex()} appears twice")
             seen.add(r.pack_id)
 

@@ -91,6 +91,20 @@ class RangeViolation(NfcBmsError):
     """A diagnostic field is outside its documented range."""
 
 
+def checked(value, what: str, kinds: tuple = (int,), noun: str = "an integer"):
+    """``value``, if its type is exactly one of ``kinds`` (so a bool is no integer)."""
+    if type(value) not in kinds:
+        raise RangeViolation(f"{what} must be {noun}, not {type(value).__name__}")
+    return value
+
+
+def checked_items(value, what: str, kinds: tuple, items: str, noun: str) -> tuple:
+    """A list or tuple whose entries each pass ``checked``, as a tuple."""
+    for v in checked(value, what, (list, tuple), f"a list of {items}"):
+        checked(v, f"{what} entry", kinds, noun)
+    return tuple(value)
+
+
 # --- wake-up simulation ---
 
 class OverlappingSessions(NfcBmsError):

@@ -18,8 +18,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diagnostics import DiagPacket, checked, packet_from_json, packet_to_json
-from .errors import NfcBmsError, RangeViolation, StoreError
+from .diagnostics import DiagPacket, packet_from_json, packet_to_json
+from .errors import NfcBmsError, RangeViolation, StoreError, checked
 
 ENV_STORE_PATH = "BMS_STORE_PATH"
 
@@ -33,6 +33,7 @@ class PassportEntry:
     source: str  # IDLE_DIAG or ACTIVE_DIAG
 
     def __post_init__(self) -> None:
+        checked(self.diag, "diag", (DiagPacket,), "a DiagPacket")
         if self.pack_id not in [r.pack_id for r in self.diag.reports]:
             raise RangeViolation("entry pack_id must be the pack id of one of its reports")
         if not 0 <= checked(self.received_at, "received_at") < 1 << 64:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from numbers import Real
 
-from .errors import OverlappingSessions, RangeViolation
+from .errors import OverlappingSessions, RangeViolation, checked, checked_items
 
 US_PER_DAY = 86_400_000_000
 MAX_TIME_US = 2**63 - 1  # times are signed 64-bit microsecond counts
@@ -103,20 +103,14 @@ def idle_power(model: PowerModel, method: Method) -> float:
     return model.idle_nw(method) / 1000
 
 
-def _number(value, what: str) -> float:
-    if type(value) not in (int, float):
-        raise RangeViolation(f"{what} must be a number, not {type(value).__name__}")
-    return float(value)
-
-
 @dataclass(frozen=True, init=False)  # each field set once: a scenario may hold thousands of readouts
 class Readout:
     start_s: float
     length_s: float
 
     def __init__(self, start_s: float, length_s: float) -> None:
-        object.__setattr__(self, "start_s", _number(start_s, "start_s"))
-        object.__setattr__(self, "length_s", _number(length_s, "length_s"))
+        object.__setattr__(self, "start_s", float(checked(start_s, "start_s", (int, float), "a number")))
+        object.__setattr__(self, "length_s", float(checked(length_s, "length_s", (int, float), "a number")))
 
 
 @dataclass(frozen=True)
@@ -125,13 +119,10 @@ class StorageScenario:
     readouts: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "duration_days", _number(self.duration_days, "duration_days"))
-        if type(self.readouts) not in (list, tuple):
-            raise RangeViolation(f"readouts must be a list of Readout, not {type(self.readouts).__name__}")
-        for r in self.readouts:
-            if type(r) is not Readout:
-                raise RangeViolation(f"readouts entry must be a Readout, not {type(r).__name__}")
-        object.__setattr__(self, "readouts", tuple(self.readouts))
+        object.__setattr__(self, "duration_days",
+                           float(checked(self.duration_days, "duration_days", (int, float), "a number")))
+        object.__setattr__(self, "readouts",
+                           checked_items(self.readouts, "readouts", (Readout,), "Readout", "a Readout"))
 
     @classmethod
     def from_json(cls, obj: dict) -> "StorageScenario":

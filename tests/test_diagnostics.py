@@ -261,6 +261,52 @@ def test_packet_builds_iff_in_range_and_round_trips(use_case, origin, reports, s
     assert dg.packet_from_json(json.loads(json.dumps(dg.packet_to_json(packet)))) == packet
 
 
+# values of every JSON type but an integer: what a field of another type may hold in a reports file
+NOT_AN_INTEGER = (st.text(max_size=3) | st.floats() | st.booleans() | st.none()
+                  | st.lists(st.integers(0, 9), max_size=2)
+                  | st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2))
+ANY_JSON = NOT_AN_INTEGER | st.integers()
+FIELDS = ("pack_id", "timestamp", "soc_permille", "soh_permille", "cell_voltages_mv", "temperatures_dk",
+          "status_flags")  # the JSON reader's order
+LISTS = ("cell_voltages_mv", "temperatures_dk")
+# per field: values of another type, and the noun of its type rule
+WRONG = {"pack_id": (ANY_JSON, "bytes"),
+         **dict.fromkeys(LISTS, (ANY_JSON.filter(lambda v: type(v) is not list), "a list of integers"))}
+
+
+def listed(fields: dict) -> dict:
+    """The JSON view of report fields: each tuple of integers a list."""
+    return {name: list(v) if type(v) is tuple else v for name, v in fields.items()}
+
+
+@pytest.mark.parametrize("first", FIELDS)
+@settings(max_examples=100)
+@given(report=valid_reports, data=st.data())
+def test_the_json_lists_and_the_wire_tuples_take_one_route(first, report, data):
+    wire = {name: getattr(report, name) for name in FIELDS}
+    assert dg.BpcReport(**listed(wire)) == dg.BpcReport(**wire) == report
+    # a field of another JSON type (a list's entry, or the list itself), perhaps with one more after
+    # it in the reader's order: both forms name the first, and no range check ever sees a wrong type
+    rest = FIELDS[FIELDS.index(first) + 1:]
+    later = [data.draw(st.sampled_from(rest))] if rest and data.draw(st.booleans()) else []
+    texts = {}
+    for name in [first] + later:
+        if name in LISTS and data.draw(st.booleans()):
+            value, at = data.draw(NOT_AN_INTEGER), data.draw(st.integers(0, len(wire[name])))
+            wire[name] = wire[name][:at] + (value,) + wire[name][at:]
+            texts[name] = f"{name} entry must be an integer, not {type(value).__name__}"
+            continue
+        wrong, noun = WRONG.get(name, (NOT_AN_INTEGER, "an integer"))
+        wire[name] = value = data.draw(wrong)
+        texts[name] = f"{name} must be {noun}, not {type(value).__name__}"
+    if "soc_permille" not in texts and data.draw(st.booleans()):
+        wire["soc_permille"] = 5000  # out of range: checked after every type
+    for fields in (wire, listed(wire)):
+        with pytest.raises(RangeViolation) as raised:
+            dg.BpcReport(**fields)
+        assert str(raised.value) == texts[first]
+
+
 def test_decode_truncated():
     raw = dg.encode_diag(dg.collect_from_bpcs([make_report(1)], seq=0))
     with pytest.raises(Truncated):

@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nfcbms import cli, diagnostics as dg, passport, wakeup
+from nfcbms import adversary, cli, diagnostics as dg, passport, wakeup
 from nfcbms.errors import NfcBmsError, RangeViolation, StoreError
 
 KEY_HEX = "00112233445566778899aabbccddeeff"
@@ -159,15 +159,24 @@ VALID_PACKET = dict(use_case=dg.UseCase.IDLE_DIAG, origin=dg.Origin.BPC, contain
 @example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8), rest=dict(VALID_PACKET, origin=dg.UseCase.IDLE_DIAG))
 @example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8), rest=dict(VALID_PACKET, use_case=dg.Origin.BPC,
                                                                       source="BPC"))
+# an entry's diag given as something other than a packet: checked first, so its reports are never read
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8), rest=dict(VALID_PACKET, diag="IDLE_DIAG"))
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8), rest=dict(VALID_PACKET, diag=None))
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8),
+         rest=dict(VALID_PACKET, diag=list(make_entry(1, 0).diag.reports)))
+@example(fields=dict(report_dict(1), pack_id=bytes([1]) * 8),
+         rest=dict(VALID_PACKET, diag=dg.packet_to_json(make_entry(1, 0).diag)))
 def test_a_built_report_packet_and_entry_round_trip_exactly(fields, rest, tmp_path):
     # whatever Python code passes in, building raises a structured error or gives values
     # that the wire codec, the JSON view and the store all give back unchanged
     try:
         report = dg.BpcReport(**fields)
         packet = dg.DiagPacket(rest["use_case"], rest["origin"], rest["container"]([report]), rest["sequence_no"])
-        entry = passport.PassportEntry(fields["pack_id"], rest["received_at"], packet, rest["session_id"],
-                                       rest["source"])
-    except NfcBmsError:
+        entry = passport.PassportEntry(fields["pack_id"], rest["received_at"], rest.get("diag", packet),
+                                       rest["session_id"], rest["source"])
+    except NfcBmsError as exc:
+        if "diag" in rest:
+            assert str(exc) == f"diag must be a DiagPacket, not {type(rest['diag']).__name__}"
         return
     assert dg.decode_diag(dg.encode_diag(packet)) == packet
     assert dg.packet_from_json(json.loads(json.dumps(dg.packet_to_json(packet)))) == packet
@@ -361,6 +370,48 @@ def test_cli_readout_idle_rejects_two_reports(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_cli_readouts_without_seed_store_distinct_session_ids(tmp_path, capsys):
+    store = tmp_path / "s.ndjson"
+    readout = ["--key", KEY_HEX, "readout", "--mode", "idle",
+               "--reports", write_reports(tmp_path, 1), "--store", str(store)]
+    assert [run_cli(readout, capsys)[0] for _ in range(2)] == [0, 0]
+    first, second = passport.PassportStore(store).entries()
+    assert first.session_id != second.session_id
+
+
+def test_cli_readout_without_seed_refuses_the_frames_of_an_earlier_one(tmp_path, capsys, monkeypatch):
+    # the controller's frames 2, 4 and 6 of one readout, recorded and played into a later readout
+    # of another state: the reader's challenges are fresh, so it refuses them and nothing is stored
+    store = tmp_path / "s.ndjson"
+    recorded = {}
+
+    class Record:
+        def on_frame(self, frame_no, direction, wire):
+            if frame_no in (2, 4, 6):
+                assert direction == "controller->reader"
+                recorded[frame_no] = wire
+            return wire
+
+    class Substitute:
+        def on_frame(self, frame_no, direction, wire):
+            return recorded.get(frame_no, wire)
+
+    honest = adversary.LinkChannel
+
+    def readout(strategy, soh: int) -> int:
+        monkeypatch.setattr(adversary, "LinkChannel", lambda: honest(strategy))
+        reports = tmp_path / f"soh-{soh}.json"
+        reports.write_text(json.dumps([dict(report_dict(1), soh_permille=soh)]))
+        return run_cli(["--key", KEY_HEX, "readout", "--mode", "idle", "--reports", str(reports),
+                        "--store", str(store)], capsys)[0]
+
+    assert readout(Record(), 980) == 0
+    assert sorted(recorded) == [2, 4, 6]
+    before = store.read_bytes()
+    assert readout(Substitute(), 610) == 1
+    assert store.read_bytes() == before
 
 
 def test_cli_history_roundtrip(tmp_path, capsys):

@@ -97,6 +97,43 @@ def test_scenario_stores_a_list_of_readouts_as_a_tuple():
     assert hash(listed) == hash(held)
 
 
+# values of every JSON type but a number, and of any JSON type
+NOT_A_NUMBER = (st.text(max_size=3) | st.booleans() | st.none() | st.lists(st.integers(0, 9), max_size=2)
+                | st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2))
+ANY_JSON = NOT_A_NUMBER | st.integers() | st.floats()
+NUMBERS = st.integers(0, 10**6) | st.floats(0, 1e6)
+
+
+FAULTS = ("duration_days", "readouts", "entry")  # in the order the constructor checks them
+
+
+@pytest.mark.parametrize("first", FAULTS)
+@settings(max_examples=100)
+@given(duration=NUMBERS, readouts=st.lists(st.builds(wk.Readout, NUMBERS, NUMBERS), max_size=4), data=st.data())
+def test_listed_and_tupled_readouts_take_one_route(first, duration, readouts, data):
+    assert wk.StorageScenario(duration, readouts) == wk.StorageScenario(duration, tuple(readouts))
+    # the duration, the readouts or one readout of another type, perhaps with a later fault too:
+    # both forms name the first
+    rest = FAULTS[FAULTS.index(first) + 1:]
+    later = [data.draw(st.sampled_from(rest))] if rest and data.draw(st.booleans()) else []
+    texts = {}
+    for name in [first] + later:
+        if name == "duration_days":
+            duration = data.draw(NOT_A_NUMBER)
+            texts[name] = f"duration_days must be a number, not {type(duration).__name__}"
+        elif name == "readouts":
+            readouts = data.draw(ANY_JSON.filter(lambda v: type(v) is not list))
+            texts[name] = f"readouts must be a list of Readout, not {type(readouts).__name__}"
+        elif type(readouts) is list:
+            value, at = data.draw(ANY_JSON), data.draw(st.integers(0, len(readouts)))
+            readouts = readouts[:at] + [value] + readouts[at:]
+            texts[name] = f"readouts entry must be a Readout, not {type(value).__name__}"
+    for form in (readouts, tuple(readouts) if type(readouts) is list else readouts):
+        with pytest.raises(RangeViolation) as raised:
+            wk.StorageScenario(duration, form)
+        assert str(raised.value) == texts[first]
+
+
 # --- simulation ---
 
 
