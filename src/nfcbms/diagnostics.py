@@ -224,7 +224,7 @@ def report_to_json(r: BpcReport) -> dict:
 
 def report_from_json(obj: dict) -> BpcReport:
     return BpcReport(
-        pack_id=bytes.fromhex(obj["pack_id"]),
+        pack_id=bytes.fromhex(checked(obj["pack_id"], "pack_id", (str,), "a string")),
         timestamp=obj["timestamp"],
         soc_permille=obj["soc_permille"],
         soh_permille=obj["soh_permille"],

@@ -38,8 +38,7 @@ class PassportEntry:
             raise RangeViolation("entry pack_id must be the pack id of one of its reports")
         if not 0 <= checked(self.received_at, "received_at") < 1 << 64:
             raise RangeViolation("received_at outside [0, 2**64)")
-        if type(self.session_id) is not str:
-            raise RangeViolation("session_id must be a string")
+        checked(self.session_id, "session_id", (str,), "a string")
         if self.source != self.diag.use_case.name:
             raise RangeViolation(f"source must be the packet's use case {self.diag.use_case.name}")
 
@@ -55,7 +54,7 @@ class PassportEntry:
     @classmethod
     def from_json(cls, obj: dict) -> "PassportEntry":
         return cls(
-            pack_id=bytes.fromhex(obj["pack_id"]),
+            pack_id=bytes.fromhex(checked(obj["pack_id"], "pack_id", (str,), "a string")),
             received_at=obj["received_at"],
             diag=packet_from_json(obj["diag"]),
             session_id=obj["session_id"],

@@ -19,7 +19,10 @@ Three pieces live here:
 
 Each key object holds its own AES/CMAC contexts (``MasterKey.aes``,
 ``SessionKeys.enc``, ``SessionKeys.mac``), built on first use and freed
-with the key: nothing at module level keeps a key or a context alive.
+with the key: nothing at module level keeps a key or a context alive.  A
+master also keeps its last derived key pair, replaced by the next
+derivation and freed with the master, so both endpoints of one in-process
+session share the pair and its contexts.
 CBC encryption runs on one encryptor per key whose chain carries over
 between calls (``_Aes``); a call that raises or overlaps another on the
 same key starts a fresh chain rather than run on one out of step.
@@ -124,6 +127,8 @@ class MasterKey:
     """Pre-embedded 16-byte master key. Never serialized or logged.
 
     Every session under the key shares its ``aes`` contexts, CBC chain too.
+    It keeps its last derived key pair, replaced by the next derivation, so
+    both endpoints of one session share that pair and its contexts.
     """
 
     bytes: bytes
@@ -227,9 +232,13 @@ def derive_session_keys(master: MasterKey, ch_r: Nonce, ch_t: Nonce) -> SessionK
     """
     if ch_r.bytes == ch_t.bytes:
         raise InvalidNonce("challenges must differ within a handshake")
-    k_enc = master.aes.cmac(_KDF_LABEL_ENC + ch_r.bytes + ch_t.bytes + _KDF_OUTLEN)
-    k_mac = master.aes.cmac(_KDF_LABEL_MAC + ch_r.bytes + ch_t.bytes + _KDF_OUTLEN)
-    return SessionKeys(k_enc=k_enc, k_mac=k_mac)
+    challenges = ch_r.bytes + ch_t.bytes
+    last = vars(master).get("_last_derived")
+    if last is None or last[0] != challenges:
+        k_enc = master.aes.cmac(_KDF_LABEL_ENC + challenges + _KDF_OUTLEN)
+        k_mac = master.aes.cmac(_KDF_LABEL_MAC + challenges + _KDF_OUTLEN)
+        last = vars(master)["_last_derived"] = challenges, SessionKeys(k_enc=k_enc, k_mac=k_mac)
+    return last[1]
 
 
 def double_encrypt(key: MasterKey, block2: bytes) -> bytes:

@@ -240,7 +240,8 @@ def test_honest_run_establishes_both_sides():
     assert len(frames) == 5
     assert reader.phase == hs.Phase.ESTABLISHED
     assert controller.phase == hs.Phase.ESTABLISHED
-    assert reader.session_keys == controller.session_keys
+    # one master object derives the pair once: both endpoints hold the same key objects
+    assert reader.session_keys is controller.session_keys
     # the channel is live for app traffic in both directions
     rec = sc.seal_record(controller.channel, b"after handshake", b"", controller.rng)
     assert sc.open_record(reader.channel, rec) == b"after handshake"

@@ -468,7 +468,9 @@ def test_cli_history_corrupt_store_exit3(tmp_path, capsys):
         ("entry", "received_at", 1 << 64, "received_at outside [0, 2**64)"),
         ("entry", "pack_id", "02", "entry pack_id must be the pack id of one of its reports"),
         ("entry", "pack_id", "02" * 8, "entry pack_id must be the pack id of one of its reports"),
-        ("entry", "session_id", {"x": [1, 2]}, "session_id must be a string"),
+        ("entry", "pack_id", 5, "pack_id must be a string, not int"),
+        ("report", "pack_id", 5, "pack_id must be a string, not int"),
+        ("entry", "session_id", {"x": [1, 2]}, "session_id must be a string, not dict"),
         ("entry", "source", 7, "source must be the packet's use case IDLE_DIAG"),
         ("entry", "source", "ACTIVE_DIAG", "source must be the packet's use case IDLE_DIAG"),
         # two faults: every type is checked before any range
@@ -477,7 +479,8 @@ def test_cli_history_corrupt_store_exit3(tmp_path, capsys):
     ],
     ids=["soc-out-of-range", "cells-string", "soh-float", "sequence-bool", "received-at-string",
          "received-at-negative", "received-at-past-64-bits", "pack-id-short",
-         "pack-id-of-no-report", "session-id-object", "source-number", "source-other-use-case",
+         "pack-id-of-no-report", "pack-id-number", "report-pack-id-number", "session-id-object",
+         "source-number", "source-other-use-case",
          "soc-out-of-range-and-cells-string"],
 )
 def test_cli_history_out_of_range_or_mistyped_store_value_exit3(where, key, value, detail, tmp_path, capsys):
@@ -599,6 +602,7 @@ def one_report(**fields) -> str:
          "error: bad reports file: soc_permille must be an integer, not str"),
         (READOUT, one_report(status_flags=True),
          "error: bad reports file: status_flags must be an integer, not bool"),
+        (READOUT, one_report(pack_id=5), "error: bad reports file: pack_id must be a string, not int"),
         # two faults: every type is checked before any range
         (READOUT, one_report(soc_permille=5000, cell_voltages_mv="4100"),
          "error: bad reports file: cell_voltages_mv must be a list of integers, not str"),
@@ -612,7 +616,7 @@ def one_report(**fields) -> str:
     ],
     ids=["reports-deep", "scenario-deep", "model-deep", "reports-duplicate-pack",
          "reports-infinite-timestamp", "reports-string-cells", "reports-float-temperature",
-         "reports-float-soh", "reports-string-soc", "reports-bool-flags",
+         "reports-float-soh", "reports-string-soc", "reports-bool-flags", "reports-number-pack-id",
          "reports-soc-range-and-cells-type", "scenario-huge-int", "reports-not-utf8",
          "scenario-not-utf8", "model-not-utf8"],
 )

@@ -76,6 +76,50 @@ def test_key_separation_over_1000_random_inputs():
         assert keys.k_enc != keys.k_mac
 
 
+def _reference_keys(master: bytes, ch_r: bytes, ch_t: bytes) -> sc.SessionKeys:
+    return sc.SessionKeys(
+        k_enc=ref.cmac(master, b"\x01SKEYENC" + ch_r + ch_t + b"\x00\x80"),
+        k_mac=ref.cmac(master, b"\x02SKEYMAC" + ch_r + ch_t + b"\x00\x80"),
+    )
+
+
+_NONCE = st.binary(min_size=16, max_size=16).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # two candidate key values for up to three master objects, so two objects may share bytes
+    key_values=st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=2),
+    masters=st.lists(st.integers(0, 1), min_size=1, max_size=3),
+    pairs=st.lists(st.tuples(_NONCE, _NONCE).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3),
+    calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=12),
+)
+def test_derivation_memo_returns_the_kdf_keys_and_shares_only_a_repeat(key_values, masters, pairs, calls):
+    # any interleaving of derivations: each result is the reference KDF's, and a result is the
+    # object returned before only when the same master object derived the same challenges last
+    objects = [sc.MasterKey(key_values[i]) for i in masters]
+    last = {}  # master index -> (challenges, keys) of its last derivation
+    returned = []  # every result, kept alive so identities are not reused
+    for m, p in calls:
+        m, (ch_r, ch_t) = m % len(objects), pairs[p % len(pairs)]
+        keys = sc.derive_session_keys(objects[m], sc.Nonce(ch_r), sc.Nonce(ch_t))
+        assert keys == _reference_keys(objects[m].bytes, ch_r, ch_t)
+        if m in last and last[m][0] == ch_r + ch_t:
+            assert keys is last[m][1]
+        else:
+            assert all(keys is not k for k in returned)
+        last[m] = ch_r + ch_t, keys
+        returned.append(keys)
+
+
+def test_derive_rejects_equal_nonces_right_after_a_derivation_with_them():
+    sc.derive_session_keys(KEY, CH_R, CH_T)
+    for ch in (CH_R, CH_T):
+        with pytest.raises(InvalidNonce):
+            sc.derive_session_keys(KEY, ch, sc.Nonce(ch.bytes))
+    assert sc.derive_session_keys(KEY, CH_R, CH_T) == _reference_keys(KEY.bytes, CH_R.bytes, CH_T.bytes)
+
+
 # --- double transforms ---
 
 
@@ -514,17 +558,21 @@ def test_mac_key_builds_no_cipher_contexts():
 def test_keys_and_their_contexts_die_with_the_key_objects():
     rng = random.Random(18)
     master = sc.MasterKey(rng.randbytes(16))
-    keys = sc.derive_session_keys(master, sc.new_nonce(rng), sc.new_nonce(rng))
-    challenge = bytes(range(32))
-    chal = sc.double_encrypt(master, challenge)
-    assert sc.double_decrypt(master, chal) == challenge
-    sender, receiver = sc.ChannelState.for_keys(keys), sc.ChannelState.for_keys(keys)
-    assert sc.open_record(receiver, sc.seal_record(sender, b"pack 7", b"DIAG", rng)) == b"pack 7"
+    reader = hs.HandshakeState.reader(b"NR__", b"MN__", master, random.Random(19))
+    controller = hs.HandshakeState.controller(b"MN__", b"NR__", master, random.Random(20))
+    hs.run_honest_handshake(reader, controller)  # both challenge transforms, records both ways
+    keys = reader.session_keys
+    # both endpoints hold the one pair that the master keeps as its last derivation
+    assert controller.session_keys is keys and vars(master)["_last_derived"][1] is keys
+    record = sc.seal_record(controller.channel, b"pack 7", b"DIAG", rng)
+    assert sc.open_record(reader.channel, record) == b"pack 7"
     # the contexts exist now, and repr still shows no key bytes
     assert {"aes"} <= set(vars(master)) and {"enc", "mac"} <= set(vars(keys))
+    assert {"_cbc", "_ecb_dec"} <= set(vars(master.aes)) and {"_cbc", "_ecb_dec"} <= set(vars(keys.enc))
+    assert "_mac" in vars(keys.mac)
     assert repr(master) == "MasterKey(<redacted>)" and repr(keys) == "SessionKeys(<redacted>)"
     assert master.bytes.hex() not in repr(master) and keys.k_mac.hex() not in repr(keys)
     refs = [weakref.ref(o) for o in (master, keys, master.aes, keys.enc, keys.mac)]
-    del master, keys, sender, receiver
+    del master, keys, reader, controller, record
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
