@@ -10,7 +10,8 @@ but computationally bounded: it never holds the master key.
 attack is pinned to the exact frame number and error that stopped it.
 Confidentiality is checked with an engineering proxy: no
 8-byte-or-longer substring of any workload plaintext may appear
-anywhere in the link transcript.
+anywhere in the bytes the link carried, each frame as sent and, where
+the adversary changed it, as delivered.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from . import diagnostics, handshake as hs, secure_channel as sc, sndef
 from .errors import NfcBmsError, UnknownType
 
 SECRECY_WINDOW = 8
-# a session walks the transcript once for one set of windows only if one of
-# its plaintexts has more windows than this; near 64 a walk and a
-# window-by-window search cost about the same, whatever the transcript length
+# a session builds one set of the link's windows only if one of its plaintexts
+# has more windows than this; on handshake- and attack-sized links (about 600 B)
+# the set costs as much as searching 80-90 windows one by one, and since it
+# serves every plaintext of the session, attack sessions scan fastest at 64
 SCAN_DIRECT_MAX_WINDOWS = 64
 # the principal ids of every session the CLI and the attack suite drive
 READER_ID, CONTROLLER_ID = b"NRD1", b"MNC1"
@@ -67,7 +69,9 @@ class LinkChannel:
         return delivered
 
     def transcript_blob(self) -> bytes:
-        return b"".join(f.sent + f.delivered for f in self.transcript)
+        """Every byte the link carried: each frame as sent, then as delivered
+        only where the strategy changed it."""
+        return b"".join(f.sent if f.sent == f.delivered else f.sent + f.delivered for f in self.transcript)
 
 
 # --- adversary strategies ---
@@ -217,29 +221,21 @@ def _is_long(plain: bytes) -> bool:
     return len(plain) - SECRECY_WINDOW + 1 > SCAN_DIRECT_MAX_WINDOWS
 
 
-def _disjoint(plaintexts: list, transcript_blob: bytes) -> bool:
-    """No window of any of ``plaintexts`` is in the transcript: one set of
-    their windows, checked in one walk of the transcript's windows."""
-    mine = set(chain.from_iterable(chain.from_iterable(map(_words, plaintexts))))
-    return all(mine.isdisjoint(words) for words in _words(transcript_blob))
-
-
 def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     """The first >= 8-byte window of each plaintext that leaks into the
     transcript, in hex.
 
     A session with a plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS``
-    windows checks one set of the windows of all its plaintexts against the
-    transcript in one linear pass; when nothing leaks, as in any honest
-    session, that is all.  On a hit, each long plaintext is checked on its
-    own.  Only a short or a leaking plaintext pays for the window-by-window
-    search that names its first leaking window.
+    windows builds one set of the transcript's windows, and checks each
+    plaintext's windows against it; in an honest session that is all.  Only
+    a plaintext that meets the set, or any plaintext of a session with no
+    long one, pays for the window-by-window search that names its first
+    leaking window.
     """
-    if any(map(_is_long, plaintexts)) and _disjoint(plaintexts, transcript_blob):
-        return []
+    link = set(chain.from_iterable(_words(transcript_blob))) if any(map(_is_long, plaintexts)) else None
     hits = []
     for plain in plaintexts:
-        if _is_long(plain) and _disjoint([plain], transcript_blob):
+        if link is not None and all(map(link.isdisjoint, _words(plain))):
             continue
         for i in range(len(plain) - SECRECY_WINDOW + 1):
             window = plain[i:i + SECRECY_WINDOW]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
+from functools import cache
 
 from .errors import DuplicatePackId, EmptyInput, RangeViolation, Truncated, checked, checked_items
 
@@ -54,7 +55,7 @@ class StatusFlags(IntFlag):
     STORED = 0x0010
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BpcReport:
     """One pack controller's status snapshot."""
 
@@ -75,7 +76,7 @@ class BpcReport:
         # all types, then all ranges: one type test, and a walk in the JSON reader's order if it fails
         if not (type(self.pack_id) is bytes and type(cells) is type(temps) is tuple and type(self.timestamp)
                 is type(self.soc_permille) is type(self.soh_permille) is type(self.status_flags) is int
-                and {int}.issuperset(map(type, cells + temps))):
+                and {int}.issuperset(map(type, cells)) and {int}.issuperset(map(type, temps))):
             checked(self.pack_id, "pack_id", (bytes,), "bytes")
             for name in ("timestamp", "soc_permille", "soh_permille"):
                 checked(getattr(self, name), name)
@@ -145,23 +146,25 @@ def idle_packet(report: BpcReport, seq: int) -> DiagPacket:
     )
 
 
+@cache
+def _array(code: str, n: int) -> struct.Struct:
+    """The prepared struct of ``n`` big-endian 16-bit values, ``H`` unsigned
+    or ``h`` signed; built on first use, one per count."""
+    return struct.Struct(f">{n}{code}")
+
+
 def encode_diag(packet: DiagPacket) -> bytes:
     out = bytearray(
         _HEADER.pack(int(packet.use_case), int(packet.origin), packet.sequence_no, len(packet.reports))
     )
     for r in packet.reports:
+        cells, temps = r.cell_voltages_mv, r.temperatures_dk
         out += _REPORT_FIXED.pack(
-            r.pack_id,
-            r.timestamp,
-            r.soc_permille,
-            r.soh_permille,
-            r.status_flags,
-            len(r.cell_voltages_mv),
+            r.pack_id, r.timestamp, r.soc_permille, r.soh_permille, r.status_flags, len(cells)
         )
-        out += struct.pack(f">{len(r.cell_voltages_mv)}H", *r.cell_voltages_mv)
-        out += struct.pack(">B", len(r.temperatures_dk))
-        if r.temperatures_dk:
-            out += struct.pack(f">{len(r.temperatures_dk)}h", *r.temperatures_dk)
+        out += _array("H", len(cells)).pack(*cells)
+        out.append(len(temps))
+        out += _array("h", len(temps)).pack(*temps)
     return bytes(out)
 
 
@@ -183,25 +186,15 @@ def decode_diag(raw: bytes) -> DiagPacket:
         pos += REPORT_FIXED_LEN
         if len(raw) - pos < 2 * n_cells + 1:
             raise Truncated("cell voltages run past end of input")
-        volts = struct.unpack_from(f">{n_cells}H", raw, pos)
+        volts = _array("H", n_cells).unpack_from(raw, pos)
         pos += 2 * n_cells
         n_temps = raw[pos]
         pos += 1
         if len(raw) - pos < 2 * n_temps:
             raise Truncated("temperatures run past end of input")
-        temps = struct.unpack_from(f">{n_temps}h", raw, pos)
+        temps = _array("h", n_temps).unpack_from(raw, pos)
         pos += 2 * n_temps
-        reports.append(
-            BpcReport(
-                pack_id=pack_id,
-                timestamp=ts,
-                soc_permille=soc,
-                soh_permille=soh,
-                cell_voltages_mv=volts,
-                temperatures_dk=temps,
-                status_flags=flags,
-            )
-        )
+        reports.append(BpcReport(pack_id, ts, soc, soh, volts, temps, flags))
     if pos != len(raw):
         raise Truncated("unexpected trailing bytes")
     return DiagPacket(use_case=use_case, origin=origin, reports=tuple(reports), sequence_no=seq)

@@ -260,6 +260,60 @@ def test_link_frame_of_the_wrong_record_type_is_rejected(frame_index, message, o
     assert outcome.packets_delivered == 0
 
 
+# --- the transcript blob: every link byte once ---
+
+
+def windows(data: bytes) -> list:
+    return [data[i:i + adv.SECRECY_WINDOW] for i in range(len(data) - adv.SECRECY_WINDOW + 1)]
+
+
+frame_copies = st.one_of(
+    st.binary(max_size=40).map(lambda sent: (sent, sent)),  # delivered unchanged
+    st.tuples(st.binary(max_size=40), st.binary(max_size=40)).filter(lambda copies: copies[0] != copies[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(frame_copies, min_size=1, max_size=6))
+def test_the_blob_holds_each_unchanged_frame_once_and_loses_only_its_own_seam(frames):
+    channel = adv.LinkChannel()
+    for n, (sent, delivered) in enumerate(frames, start=1):
+        channel.transcript.append(adv.FrameLog(n, "controller->reader", sent, delivered))
+    blob = channel.transcript_blob()
+    old = b"".join(sent + delivered for sent, delivered in frames)
+    assert len(blob) == sum(len(s) + len(d) * (s != d) for s, d in frames)
+    # (a) no window appears that sent | delivered lacks, if no unchanged frame is shorter than 7 bytes
+    if all(len(s) >= adv.SECRECY_WINDOW - 1 for s, d in frames if s == d):
+        assert all(window in old for window in windows(blob))
+    # (b) every window of sent | delivered is kept, except those across an unchanged frame's own seam
+    seams, at = [], 0
+    for sent, delivered in frames:
+        if sent == delivered:
+            seams.append(at + len(sent))
+        at += len(sent) + len(delivered)
+    for i, window in enumerate(windows(old)):
+        if not any(i < seam < i + adv.SECRECY_WINDOW for seam in seams):
+            assert window in blob
+
+
+def test_an_honest_bulk_session_puts_each_link_byte_in_the_blob_once():
+    reader_cfg, controller_cfg, _ = small_setup(14)
+    channel = adv.LinkChannel()
+    outcome = adv.run_session(channel, reader_cfg, controller_cfg, bulk_workload(random.Random(14)))
+    assert outcome.established and outcome.secrecy_hits == []
+    assert channel.transcript_blob() == b"".join(f.sent for f in channel.transcript)
+
+
+def test_a_bitflip_session_keeps_both_copies_of_the_flipped_frame_only():
+    reader_cfg, controller_cfg, workload = small_setup(7)
+    channel = adv.LinkChannel(strategy=adv.BitFlip(frame_index=3, bit_index=200))
+    adv.run_session(channel, reader_cfg, controller_cfg, workload)
+    assert [f.frame_no for f in channel.transcript if f.sent != f.delivered] == [3]
+    assert channel.transcript_blob() == b"".join(
+        f.sent + f.delivered if f.frame_no == 3 else f.sent for f in channel.transcript
+    )
+
+
 # --- the secrecy scan against its window-by-window reference ---
 
 
@@ -395,11 +449,11 @@ def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
     words = adv._words
     monkeypatch.setattr(adv, "_words", lambda data: viewed.append(data) or words(data))
     assert adv.scan_secrecy(blob, plaintexts) == []
-    assert viewed.count(blob) == transcript_walks
     if not transcript_walks:
         assert viewed == []
-    else:  # the walk covered the short plaintexts too: no window-by-window search
-        assert blob.searches == 0
+    else:  # one set of the link's windows, each plaintext checked against it once
+        assert viewed == [blob, *plaintexts]
+        assert blob.searches == 0  # the set covered the short plaintexts too: no window-by-window search
 
 
 @dataclass

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import cycle, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,6 +309,23 @@ def test_the_json_lists_and_the_wire_tuples_take_one_route(first, report, data):
         with pytest.raises(RangeViolation) as raised:
             dg.BpcReport(**fields)
         assert str(raised.value) == texts[first]
+
+
+def test_the_codec_prepares_one_struct_per_count_on_first_use():
+    # a fresh process: importing builds none, a round trip builds one per count it meets, cells and temperatures
+    script = (
+        "from nfcbms import diagnostics as dg\n"
+        "before = dg._array.cache_info().currsize\n"
+        "packet = dg.collect_from_bpcs([dg.BpcReport(bytes([n]) * 8, 0, 0, 0, (3700,) * 4, (2931, 2945))"
+        " for n in range(3)], seq=0)\n"
+        "assert dg.decode_diag(dg.encode_diag(packet)) == packet\n"
+        "print(before, dg._array.cache_info().currsize)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 2\n", "")
 
 
 def test_decode_truncated():
