@@ -415,67 +415,65 @@ def _harvest_honest_frames(
 RUNS_PER_STRATEGY = 100
 
 
-def _replay(reader_cfg, controller_cfg, workload, rng, demo) -> Replay:
-    prior = _harvest_honest_frames(reader_cfg, controller_cfg, workload, rng)
-    last = min(5 + len(workload), len(prior))
-    return Replay(frame_index=2 if demo else rng.randrange(1, last + 1), prior_frames=prior)
-
-
-def _bitflip(reader_cfg, controller_cfg, workload, rng, demo) -> BitFlip:
-    if demo:
-        return BitFlip(frame_index=4, bit_index=123)
-    return BitFlip(frame_index=rng.randrange(1, 5 + len(workload) + 1), bit_index=rng.randrange(1 << 16))
-
-
-def _chosen_challenge(reader_cfg, controller_cfg, workload, rng, demo) -> ChosenChallenge:
-    return ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(2 if demo else 3)])
-
-
-# One factory per strategy: ``(reader_cfg, controller_cfg, workload, rng,
-# demo)`` -> that run's adversary, where ``demo`` asks for the canonical
-# fixed shape.  Insertion order is the strategy index that seeds every run.
-STRATEGIES = {
-    "eavesdrop": lambda *_: None,  # passive: the honest link, whose transcript it reads
-    "replay": _replay,
-    "reflect": lambda *_: Reflect(),
-    "bitflip": _bitflip,
-    "chosen-challenge": _chosen_challenge,
-}
-STRATEGY_NAMES = tuple(STRATEGIES)
-
-
-def _link_attack_won(outcome: SessionOutcome, channel: LinkChannel, workload: list) -> bool:
-    """Plaintext leaked, or a manipulated session still delivered everything."""
+def _on_link(strategy, reader_cfg, controller_cfg, workload) -> tuple:
+    """One session over a link ``strategy`` may rewrite (None is the honest
+    link): won if plaintext leaked, or if a manipulated session still
+    delivered everything."""
+    channel = LinkChannel(strategy=strategy)
+    outcome = run_session(channel, reader_cfg, controller_cfg, workload)
     manipulated = any(f.sent != f.delivered for f in channel.transcript)
-    return bool(outcome.secrecy_hits) or (
+    return outcome, bool(outcome.secrecy_hits) or (
         manipulated and outcome.established
         and outcome.packets_delivered == len(workload)
         and outcome.first_failure is None
     )
 
 
-def _play(name, reader_cfg, controller_cfg, workload, rng, demo=False) -> tuple:
-    """One run of strategy ``name``: ``(outcome, won)``, where ``won`` says
-    the attack succeeded.  The adversary as reader plays off the link and
-    wins if the controller reaches Established; every other adversary
-    plays on the link of one session."""
-    strategy = STRATEGIES[name](reader_cfg, controller_cfg, workload, rng, demo)
-    if isinstance(strategy, ChosenChallenge):
-        outcome = run_chosen_challenge(controller_cfg, strategy, rng)
-        return outcome, outcome.established_controller
-    channel = LinkChannel(strategy=strategy)
-    outcome = run_session(channel, reader_cfg, controller_cfg, workload)
-    return outcome, _link_attack_won(outcome, channel, workload)
+def _replay(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
+    prior = _harvest_honest_frames(reader_cfg, controller_cfg, workload, rng)
+    strategy = Replay(frame_index=2 if demo else rng.randrange(1, len(prior) + 1), prior_frames=prior)
+    return _on_link(strategy, reader_cfg, controller_cfg, workload)
+
+
+def _bitflip(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
+    frames = len(hs.FLOW) + len(workload)
+    frame_index, bit_index = (4, 123) if demo else (rng.randrange(1, frames + 1), rng.randrange(1 << 16))
+    return _on_link(BitFlip(frame_index, bit_index), reader_cfg, controller_cfg, workload)
+
+
+def _chosen_challenge(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
+    """The adversary as reader, off the link: won if the controller reaches Established."""
+    strategy = ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(2 if demo else 3)])
+    outcome = run_chosen_challenge(controller_cfg, strategy, rng)
+    return outcome, outcome.established_controller
+
+
+# One play per strategy: ``(reader_cfg, controller_cfg, workload, rng, demo)``
+# -> ``(outcome, won)``, one run of that attack and whether it succeeded, where
+# ``demo`` asks for the canonical fixed shape.  Insertion order is the strategy
+# index that seeds every run.
+STRATEGIES = {
+    "eavesdrop": lambda *run: _on_link(None, *run[:3]),  # passive: the honest link, whose transcript it reads
+    "replay": _replay,
+    "reflect": lambda *run: _on_link(Reflect(), *run[:3]),
+    "bitflip": _bitflip,
+    "chosen-challenge": _chosen_challenge,
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
+
+
+def _run(name: str, rng: random.Random, demo: bool = False) -> tuple:
+    """One run of strategy ``name`` against fresh endpoints: ``(outcome, won)``."""
+    reader_cfg, controller_cfg = _session_configs(rng)
+    workload = _random_workload(rng, 1 if demo else rng.randrange(1, 4))
+    return STRATEGIES[name](reader_cfg, controller_cfg, workload, rng, demo)
 
 
 def canonical_demo(name: str, seed: int) -> SessionOutcome:
     """One fixed-shape run per strategy, e.g. replay always re-sends
     message 2 of an earlier session, so reports have a stable headline
     failure point per strategy."""
-    rng = random.Random(seed * 7919 + STRATEGY_NAMES.index(name))
-    reader_cfg, controller_cfg = _session_configs(rng)
-    workload = _random_workload(rng, 1)
-    outcome, _ = _play(name, reader_cfg, controller_cfg, workload, rng, demo=True)
+    outcome, _ = _run(name, random.Random(seed * 7919 + STRATEGY_NAMES.index(name)), demo=True)
     return outcome
 
 
@@ -497,11 +495,8 @@ def run_attack_suite(
         sreport.demo = canonical_demo(name, seed).to_json()
         report.strategies[name] = sreport
         for i in range(runs_per_strategy):
-            rng = random.Random(seed * 1_000_003 + strat_index * 10_007 + i)
-            reader_cfg, controller_cfg = _session_configs(rng)
-            workload = _random_workload(rng, rng.randrange(1, 4))
             sreport.runs += 1
-            outcome, won = _play(name, reader_cfg, controller_cfg, workload, rng)
+            outcome, won = _run(name, random.Random(seed * 1_000_003 + strat_index * 10_007 + i))
             if won:
                 sreport.successes += 1
             if outcome.secrecy_hits:

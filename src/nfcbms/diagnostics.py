@@ -275,7 +275,7 @@ def topology_plan(
     takes ``subsystems`` as ``[(topology, module_count), ...]`` and the
     counts grow linearly with what the subsystems need.
     """
-    if topology == Topology.DECENTRALIZED:
+    if checked(topology, "topology", (Topology,), "a Topology") == Topology.DECENTRALIZED:
         if not subsystems:
             raise EmptyInput("a decentralized plan needs its subsystem list")
         plans = [topology_plan(t, n) for t, n in subsystems]
@@ -285,7 +285,7 @@ def topology_plan(
             idle_feasible=all(p.idle_feasible for p in plans),
             note="linear sum over subsystems",
         )
-    if module_count < 1:
+    if checked(module_count, "module_count") < 1:
         raise RangeViolation("module_count must be >= 1")
     if topology == Topology.CENTRALIZED:
         return InterfacePlan(

@@ -102,13 +102,17 @@ def test_bitflip_on_sealed_record_flagged():
 
 def test_eavesdrop_sees_no_plaintext():
     reader_cfg, controller_cfg, workload = small_setup(8)
-    channel = adv.LinkChannel(strategy=adv.STRATEGIES["eavesdrop"]())  # the honest link
+    channel = adv.LinkChannel()  # the honest link
     outcome = adv.run_session(channel, reader_cfg, controller_cfg, workload)
     assert outcome.established
     assert outcome.secrecy_hits == []
     # passive: the adversary saw every frame and changed none
     assert len(channel.transcript) == outcome.frames_on_link == 5 + len(workload)
     assert all(f.sent == f.delivered for f in channel.transcript)
+    # the eavesdrop entry plays that same honest session, and does not win
+    played, won = adv.STRATEGIES["eavesdrop"](reader_cfg, controller_cfg, workload, random.Random(0), False)
+    assert played == outcome
+    assert not won and played.secrecy_hits == []
 
 
 def test_secrecy_scan_catches_a_leak():

@@ -92,6 +92,29 @@ def test_parse_trailing_garbage():
         parse_statement("NR |= fresh(chr) extra")
 
 
+@pytest.mark.parametrize(("text", "parsed"), [
+    ("NR <| fresh(chr)", Sees(NR, Fresh(CHR))),  # a fresh statement in term position
+    ("(chr)", CHR),  # a group of one member is that member
+])
+def test_parse_fresh_term_and_one_member_group(text, parsed):
+    assert parse_statement(text) == parsed
+
+
+@pytest.mark.parametrize(("text", "detail"), [
+    ("NR <| )", "unexpected token ')' (at position 6)"),
+    ("NR <| NR <- ( -> MN", "expected key name (at position 12)"),
+])
+def test_parse_error_names_what_it_expected_and_where(text, detail):
+    with pytest.raises(ban.ParseError) as excinfo:
+        parse_statement(text)
+    assert str(excinfo.value) == detail
+
+
+def test_derive_needs_a_positive_depth():
+    with pytest.raises(ValueError, match="^max_depth must be >= 1$"):
+        ban.derive([], [], [], max_depth=0)
+
+
 GOAL_LINES = "H: NR |= MN |= fresh(cht)\nH: MN |= NR |= NR <-KM-> MN\n"
 
 

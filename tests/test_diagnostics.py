@@ -408,3 +408,19 @@ def test_topology_monotone_in_module_count():
 def test_decentralized_requires_subsystems():
     with pytest.raises(EmptyInput):
         dg.topology_plan(dg.Topology.DECENTRALIZED)
+
+
+@pytest.mark.parametrize(("topology", "module_count", "subsystems", "detail"), [
+    (dg.Topology.MODULATED, 2.5, None, "module_count must be an integer, not float"),
+    (dg.Topology.DISTRIBUTED, True, None, "module_count must be an integer, not bool"),
+    (dg.Topology.CENTRALIZED, 1.0, None, "module_count must be an integer, not float"),
+    (99, 3, None, "topology must be a Topology, not int"),
+    (3, 3, None, "topology must be a Topology, not int"),
+    (dg.Topology.CENTRALIZED, 0, None, "module_count must be >= 1"),
+    (dg.Topology.DISTRIBUTED, -2, None, "module_count must be >= 1"),
+    (dg.Topology.DECENTRALIZED, 1, [(dg.Topology.DISTRIBUTED, 2.0)], "module_count must be an integer, not float"),
+    (dg.Topology.DECENTRALIZED, 1, [(2, 2)], "topology must be a Topology, not int"),
+])
+def test_topology_plan_rejects_what_it_cannot_plan(topology, module_count, subsystems, detail):
+    with pytest.raises(RangeViolation, match=f"^{detail}$"):
+        dg.topology_plan(topology, module_count, subsystems)

@@ -494,3 +494,13 @@ class HandshakeMachine(RuleBasedStateMachine):
 
 HandshakeMachine.TestCase.settings = settings(max_examples=80, stateful_step_count=20, deadline=None)
 TestHandshakeMachine = HandshakeMachine.TestCase
+
+
+@pytest.mark.parametrize(("self_id", "peer_id", "detail"), [
+    (b"NR", CONTROLLER_ID, "self_id must be 4 bytes"),
+    (READER_ID, bytes(4), "peer_id must be non-zero"),
+    (READER_ID, READER_ID, "reader and controller ids must differ"),
+])
+def test_an_endpoint_needs_two_distinct_nonzero_ids(self_id, peer_id, detail):
+    with pytest.raises(ValueError, match=f"^{detail}$"):
+        hs.HandshakeState.reader(self_id, peer_id, KEY, random.Random(0))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nfcbms import adversary, cli, diagnostics as dg, passport, wakeup
-from nfcbms.errors import NfcBmsError, RangeViolation, StoreError
+from nfcbms.errors import NfcBmsError, RangeViolation, StoreError, TagMismatch
 
 KEY_HEX = "00112233445566778899aabbccddeeff"
 
@@ -1054,6 +1054,36 @@ def test_cli_attack_needs_at_least_one_run(runs, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: --runs must be at least 1, got {runs}\n"
+
+
+def test_cli_protocol_error_that_escapes_a_command_exits_1(capsys, monkeypatch):
+    def broken_suite(*args, **kwargs):
+        raise TagMismatch("x")
+
+    monkeypatch.setattr(adversary, "run_attack_suite", broken_suite)
+    code, err = run_cli_error(["attack", "--runs", "1"], capsys)
+    assert code == 1
+    assert err == "protocol error: TagMismatch: x\n"
+
+
+def test_cli_readout_into_a_store_under_a_regular_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    store = blocker / "store.ndjson"
+    code, err = run_cli_error(
+        ["--key", KEY_HEX, "readout", "--mode", "idle", "--reports", write_reports(tmp_path, 1),
+         "--store", str(store)],
+        capsys,
+    )
+    assert code == 3
+    assert err.startswith(f"store error: cannot append to {store}: ")
+    assert blocker.read_text() == ""
+
+
+def test_cli_history_of_a_directory_store_exits_3(tmp_path, capsys):
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith(f"store error: cannot read {tmp_path}: ")
 
 
 def test_console_script_subprocess_roundtrip(tmp_path):

@@ -15,6 +15,7 @@ from nfcbms import handshake as hs, secure_channel as sc
 from nfcbms.errors import (
     BadLength,
     InvalidNonce,
+    KeyDerivationError,
     PaddingError,
     TagMismatch,
 )
@@ -576,3 +577,19 @@ def test_keys_and_their_contexts_die_with_the_key_objects():
     del master, keys, reader, controller, record
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+@pytest.mark.parametrize(("build", "error", "detail"), [
+    (lambda: sc.SessionKeys(bytes(15), bytes([1]) * 16), BadLength, "session keys must be 16 bytes each"),
+    (lambda: sc.SessionKeys(bytes([1]) * 16, bytes([1]) * 16), KeyDerivationError,
+     "encryption and MAC key must differ"),
+    (lambda: sc.Nonce(bytes(15)), BadLength, "nonce must be 16 bytes"),
+    (lambda: sc.SecureRecord(bytes(15), bytes(16), b"", bytes(16)), BadLength, "record IV must be 16 bytes"),
+    (lambda: sc.SecureRecord(bytes(16), bytes(16), b"", bytes(15)), BadLength, "record tag must be 16 bytes"),
+    (lambda: sc.SecureRecord(bytes(16), bytes(17), b"", bytes(16)), BadLength,
+     "sec_data must be a positive multiple of 16 bytes"),
+    (lambda: sc.pkcs7_unpad(bytes(17)), PaddingError, "ciphertext length not block aligned"),
+], ids=["short-key", "equal-keys", "short-nonce", "short-iv", "short-tag", "ragged-sec-data", "ragged-unpad"])
+def test_channel_values_refuse_bad_shapes(build, error, detail):
+    with pytest.raises(error, match=f"^{detail}$"):
+        build()
