@@ -17,6 +17,7 @@ the adversary changed it, as delivered.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -25,10 +26,18 @@ from . import diagnostics, handshake as hs, secure_channel as sc, sndef
 from .errors import NfcBmsError, UnknownType
 
 SECRECY_WINDOW = 8
-# a session builds one set of the link's windows only if one of its plaintexts
-# has more windows than this; on handshake- and attack-sized links (about 600 B)
-# the set costs as much as searching 80-90 windows one by one, and since it
-# serves every plaintext of the session, attack sessions scan fastest at 64
+# the widest block of which every window holds a 4-aligned copy: window j holds
+# the block at ceil(j / 4) * 4 <= j + 3, which ends by j + 7
+BLOCK = SECRECY_WINDOW // 2
+_FORMATS = {BLOCK: "I", SECRECY_WINDOW: "Q"}
+# the most windows a scan searches for one by one rather than hash: a session
+# builds one set of the link's blocks only if one of its plaintexts has more
+# windows than this, and looks for the link windows around the blocks its
+# plaintexts meet only while those are no more than this.  On attack-sized links
+# (about 670 B) the block set costs as much as 15 window searches, so a lower
+# bound would pay there, but it would also move handshake_storm's idle packets
+# (27-45 windows) off the direct path; hashing the windows of a 1.8-8 KB
+# plaintext costs as much as 80-115 searches of it
 SCAN_DIRECT_MAX_WINDOWS = 64
 # the principal ids of every session the CLI and the attack suite drive
 READER_ID, CONTROLLER_ID = b"NRD1", b"MNC1"
@@ -209,12 +218,35 @@ def _unwrap(wire: bytes, type_code: sndef.RecordType) -> bytes:
     return record.payload
 
 
-def _words(data: bytes):
-    """Every 8-byte window of ``data`` as native-order 64-bit integers:
-    one zero-copy view per phase, window i in view ``i % 8``."""
+def _words(data: bytes, width: int = SECRECY_WINDOW):
+    """Every ``width``-byte window of ``data`` as a native-order integer:
+    one zero-copy view per phase, window i in view ``i % width``."""
     view = memoryview(data)
-    for k in range(min(SECRECY_WINDOW, len(data) - SECRECY_WINDOW + 1)):
-        yield view[k:k + (len(data) - k) // SECRECY_WINDOW * SECRECY_WINDOW].cast("Q")
+    for k in range(min(width, len(data) - width + 1)):
+        yield view[k:k + (len(data) - k) // width * width].cast(_FORMATS[width])
+
+
+def _blocks(data: bytes) -> memoryview:
+    """The 4-aligned blocks of ``data`` as native-order 32-bit integers: one zero-copy view."""
+    return memoryview(data)[:len(data) // BLOCK * BLOCK].cast(_FORMATS[BLOCK])
+
+
+def _met_windows(blob: bytes, values: set) -> set | None:
+    """The 8-byte windows of ``blob`` whose first 4-aligned block holds one of
+    ``values``, the at most 4 that start 0-3 bytes before each such block, or
+    None when those could be more than ``SCAN_DIRECT_MAX_WINDOWS``."""
+    starts = []
+    for value in values:
+        block = value.to_bytes(BLOCK, sys.byteorder)
+        at = blob.find(block)
+        while at >= 0:
+            if at % BLOCK == 0:
+                starts.append(at)
+                if BLOCK * len(starts) > SCAN_DIRECT_MAX_WINDOWS:
+                    return None
+            at = blob.find(block, at // BLOCK * BLOCK + BLOCK)
+    last = len(blob) - SECRECY_WINDOW
+    return {blob[j:j + SECRECY_WINDOW] for at in starts for j in range(max(0, at - BLOCK + 1), min(at, last) + 1)}
 
 
 def _is_long(plain: bytes) -> bool:
@@ -226,17 +258,30 @@ def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     transcript, in hex.
 
     A session with a plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS``
-    windows builds one set of the transcript's windows, and checks each
-    plaintext's windows against it; in an honest session that is all.  Only
-    a plaintext that meets the set, or any plaintext of a session with no
+    windows builds one set of the transcript's 4-aligned blocks.  Every
+    8-byte window holds one of them, so a plaintext none of whose 4-byte
+    windows is in the set cannot leak.  The block values the plaintexts do
+    meet are expanded once into the transcript windows that start 0-3 bytes
+    before their aligned copies, and each plaintext that met the set is
+    searched for those; when they could be more than ``SCAN_DIRECT_MAX_WINDOWS``,
+    it is checked against one set of every transcript window instead.  Only
+    a plaintext holding one of them, or any plaintext of a session with no
     long one, pays for the window-by-window search that names its first
     leaking window.
     """
-    link = set(chain.from_iterable(_words(transcript_blob))) if any(map(_is_long, plaintexts)) else None
+    suspects = plaintexts
+    if any(map(_is_long, plaintexts)):
+        link_blocks = set(_blocks(transcript_blob))
+        met = [set().union(*map(link_blocks.intersection, _words(plain, BLOCK))) for plain in plaintexts]
+        suspects = [plain for plain, values in zip(plaintexts, met) if values]
+        near = _met_windows(transcript_blob, set().union(*met))
+        if near is None:  # too many to search for: one set of every link window
+            link = set(chain.from_iterable(_words(transcript_blob)))
+            suspects = [plain for plain in suspects if not all(map(link.isdisjoint, _words(plain)))]
+        else:
+            suspects = [plain for plain in suspects if any(window in plain for window in near)]
     hits = []
-    for plain in plaintexts:
-        if link is not None and all(map(link.isdisjoint, _words(plain))):
-            continue
+    for plain in suspects:
         for i in range(len(plain) - SECRECY_WINDOW + 1):
             window = plain[i:i + SECRECY_WINDOW]
             if window in transcript_blob:
@@ -442,10 +487,11 @@ def _bitflip(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
 
 
 def _chosen_challenge(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
-    """The adversary as reader, off the link: won if the controller reaches Established."""
+    """The adversary as reader, off the link: won if the controller reaches
+    Established, or if a response has the single-pass oracle's shape."""
     strategy = ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(2 if demo else 3)])
     outcome = run_chosen_challenge(controller_cfg, strategy, rng)
-    return outcome, outcome.established_controller
+    return outcome, outcome.established_controller or bool(outcome.secrecy_hits)
 
 
 # One play per strategy: ``(reader_cfg, controller_cfg, workload, rng, demo)``

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_crypto as ref
-from nfcbms import adversary as adv, diagnostics as dg, handshake as hs, sndef
+from nfcbms import adversary as adv, cli, diagnostics as dg, handshake as hs, sndef
 
 
 def small_setup(seed: int = 1):
@@ -139,6 +141,22 @@ def test_chosen_challenge_gets_double_transform_only():
         double = ref.cbc_encrypt(key, bytes(16), single)
         assert response == double
         assert response != single
+
+
+def test_a_single_pass_oracle_wins_chosen_challenge_and_fails_attack(monkeypatch, capsys):
+    """The canary: a controller that answers message 1 with one CBC pass."""
+    respond = hs.HandshakeState.controller_respond
+
+    def respond_with_one_pass(self, msg1):
+        head = respond(self, msg1)[:hs.FRAME_HEADER_LEN + 16]
+        return head + ref.cbc_encrypt(self.master.bytes, bytes(16), hs.challenge_plain(self.self_id, self.ch_r))
+
+    monkeypatch.setattr(hs.HandshakeState, "controller_respond", respond_with_one_pass)
+    report = adv.run_attack_suite(3, runs_per_strategy=5, strategies=("chosen-challenge",))
+    played = report.strategies["chosen-challenge"]
+    assert (played.successes, played.leaks, report.total_successes) == (5, 5, 5)
+    assert cli.main(["attack", "--strategy", "chosen-challenge", "--runs", "5", "--seed", "3"]) == cli.EXIT_PROTOCOL
+    assert json.loads(capsys.readouterr().out)["report"]["total_successes"] == 5
 
 
 def test_suite_zero_successes_small():
@@ -450,14 +468,78 @@ def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
     plaintexts = [rng.randbytes(n) for n in lengths]
     blob = SearchCountingBlob(blob_of([rng.randbytes(200) for _ in range(4)]))
     viewed = []
-    words = adv._words
-    monkeypatch.setattr(adv, "_words", lambda data: viewed.append(data) or words(data))
+    blocks, words = adv._blocks, adv._words
+    monkeypatch.setattr(adv, "_blocks", lambda data: viewed.append((data, "blocks")) or blocks(data))
+    monkeypatch.setattr(adv, "_words", lambda data, width: viewed.append((data, width)) or words(data, width))
     assert adv.scan_secrecy(blob, plaintexts) == []
     if not transcript_walks:
         assert viewed == []
-    else:  # one set of the link's windows, each plaintext checked against it once
-        assert viewed == [blob, *plaintexts]
+    else:  # one set of the link's aligned blocks, each plaintext's 4-byte windows checked against it once
+        assert viewed == [(blob, "blocks"), *((plain, adv.BLOCK) for plain in plaintexts)]
         assert blob.searches == 0  # the set covered the short plaintexts too: no window-by-window search
+
+
+@pytest.mark.parametrize("tail", range(adv.BLOCK), ids=lambda tail: f"length%4={tail}")
+@pytest.mark.parametrize("phase", range(adv.BLOCK), ids=lambda phase: f"offset%4={phase}")
+def test_scan_finds_a_window_at_every_offset_in_every_blob_length(phase, tail):
+    rng = random.Random(adv.BLOCK * phase + tail)
+    plain = rng.randbytes(LONGEST_DIRECT + 1)
+    window = plain[40:40 + adv.SECRECY_WINDOW]
+    # the window starts at ``phase`` mod 4 and ends 0-3 bytes before the blob does; where
+    # phase + suffix < 4 its only aligned block is the blob's last full one
+    suffix = (tail - phase) % adv.BLOCK
+    blob = rng.randbytes(100 + phase) + window + rng.randbytes(suffix)
+    assert len(blob) % adv.BLOCK == tail and blob.index(window) % adv.BLOCK == phase
+    plaintexts = [rng.randbytes(LONGEST_DIRECT + 1), plain]
+    assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) == [window.hex()]
+
+
+def test_a_frame_header_word_in_a_plaintext_is_no_leak_and_costs_no_search():
+    rng = random.Random(27)
+    header = bytes.fromhex("00000027")
+    pieces = [rng.randbytes(12) + header + rng.randbytes(24)] + [rng.randbytes(40) for _ in range(3)]
+    blob = SearchCountingBlob(blob_of(pieces))
+    plaintexts = [rng.randbytes(100) + header + rng.randbytes(100)]
+    assert int.from_bytes(header, sys.byteorder) in set(adv._blocks(blob))  # the plaintext meets the block set
+    assert reference_scan(bytes(blob), plaintexts) == []
+    assert adv.scan_secrecy(blob, plaintexts) == []
+    assert blob.searches == 0
+
+
+@pytest.mark.parametrize("unit", [b"\x00", b"\x5a", bytes.fromhex("00000027")],
+                         ids=["all-zero", "one-symbol", "4-periodic"])
+def test_a_repetitive_link_hashes_no_more_windows_than_it_has(monkeypatch, unit):
+    rng = random.Random(len(unit))
+    pieces = []
+    for length in (60, 400, 3000):  # each frame delivered as a run of ``unit``
+        pieces += [rng.randbytes(40), unit * (length // len(unit))]
+    blob = blob_of(pieces)
+    symbols = b"\x00\x00\x00\x00\x27\x5a" + rng.randbytes(2)
+
+    def zero_heavy(n: int, planted: bytes = b"") -> bytes:
+        text = bytes(rng.choice(symbols) for _ in range(n))
+        return text[:n // 2] + planted + text[n // 2:]
+
+    run = unit * adv.SECRECY_WINDOW
+    plaintexts = [zero_heavy(LONGEST_DIRECT + 1), zero_heavy(300, run[:adv.BLOCK]),
+                  zero_heavy(2000, run[:adv.SECRECY_WINDOW]), zero_heavy(500)]
+    hashed = []  # the link windows the scan hashes: through the window helper, or as the met blocks' windows
+    words, met_windows = adv._words, adv._met_windows
+
+    def counting_words(data, width=adv.SECRECY_WINDOW):
+        if width == adv.SECRECY_WINDOW and not any(data is plain for plain in plaintexts):
+            hashed.append(len(data) - width + 1)
+        return words(data, width)
+
+    def counting_met_windows(data, values):
+        near = met_windows(data, values)
+        hashed.append(len(near or ()))
+        return near
+
+    monkeypatch.setattr(adv, "_words", counting_words)
+    monkeypatch.setattr(adv, "_met_windows", counting_met_windows)
+    assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) != []
+    assert 0 < sum(hashed) <= len(blob) - adv.SECRECY_WINDOW + 1
 
 
 @dataclass
