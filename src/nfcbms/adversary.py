@@ -118,19 +118,6 @@ class Reflect:
 
 
 @dataclass
-class ChosenChallenge:
-    """Probe the controller with chosen reader challenges.
-
-    The adversary plays the reader role with nonces of its choosing and
-    records the responses; it holds no key, so it can only answer the
-    controller's counter-challenge with garbage.
-    """
-
-    probes: list = field(default_factory=list)
-    responses: list = field(default_factory=list)
-
-
-@dataclass
 class BitFlip:
     """Flip one bit of one frame in transit."""
 
@@ -350,10 +337,9 @@ def run_session(
     return session.outcome
 
 
-def run_chosen_challenge(
-    controller_cfg: EndpointConfig, strategy: ChosenChallenge, rng: random.Random
-) -> SessionOutcome:
-    """Adversary-as-reader probing runs; must die at the key confirmation.
+def run_chosen_challenge(controller_cfg: EndpointConfig, probes: list, rng: random.Random) -> SessionOutcome:
+    """Adversary-as-reader runs with the chosen challenges ``probes``; must die
+    at the key confirmation, since without the key it answers with garbage.
 
     The harness holds the key, so it also checks the oracle shape of
     every response (double transform, never single) and records a
@@ -361,19 +347,20 @@ def run_chosen_challenge(
     """
     outcome = SessionOutcome()
     fake_reader_id = b"ADVR"
-    for probe in strategy.probes:
+    responses = []
+    for probe in probes:
         controller = controller_cfg.endpoint(hs.Role.CONTROLLER, fake_reader_id)
         m1 = hs.frame(1, fake_reader_id, probe)
         m2 = _attempt(outcome, 2, "controller_respond", lambda: controller.controller_respond(m1))
         if m2 is None:
             continue
-        strategy.responses.append((probe, m2[hs.FRAME_HEADER_LEN + 16:]))
+        responses.append((probe, m2[hs.FRAME_HEADER_LEN + 16:]))
         # no key, so the best available answer is noise
         forged = hs.frame(3, fake_reader_id, rng.randbytes(32))
         if _attempt(outcome, 4, "controller_key_confirm",
                     lambda: controller.controller_key_confirm(forged)) is not None:
             outcome.established_controller = True  # would be an attack success
-    for probe, response in strategy.responses:
+    for probe, response in responses:
         plain = hs.challenge_plain(controller_cfg.principal_id, sc.Nonce(probe))
         single = controller_cfg.master.aes.cbc_encrypt(bytes(16), plain)
         double = sc.double_encrypt(controller_cfg.master, plain)
@@ -489,8 +476,8 @@ def _bitflip(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
 def _chosen_challenge(reader_cfg, controller_cfg, workload, rng, demo) -> tuple:
     """The adversary as reader, off the link: won if the controller reaches
     Established, or if a response has the single-pass oracle's shape."""
-    strategy = ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(2 if demo else 3)])
-    outcome = run_chosen_challenge(controller_cfg, strategy, rng)
+    probes = [sc.new_nonce(rng).bytes for _ in range(2 if demo else 3)]
+    outcome = run_chosen_challenge(controller_cfg, probes, rng)
     return outcome, outcome.established_controller or bool(outcome.secrecy_hits)
 
 

@@ -1,9 +1,10 @@
 """Command-line harness tying the simulator together.
 
 Commands: handshake, readout, history, wakeup-sim, attack, ban-verify.
-Every command is deterministic under --seed, reports never contain key
-material, and JSON reports use sorted keys so identical runs produce
-byte-identical output.
+Every command is deterministic under --seed, and reports never contain
+key material.  A JSON report is written with a two-space indent, sorted
+keys and ASCII escapes: byte for byte ``json.dumps(payload, indent=2,
+sort_keys=True)``, so identical runs produce byte-identical output.
 
 ``main`` may be called many times in one process.  The parser is built
 on the first call and reused by every later one, so none of its defaults
@@ -29,6 +30,7 @@ import json
 import secrets
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import adversary, ban, diagnostics, passport, secure_channel as sc, wakeup
@@ -77,9 +79,30 @@ def _read_input(path: str, what: str, parse):
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as one join per container, ``pad``
+    the newline and indent of the line ``value`` starts on.  What is not an int, str,
+    str-keyed dict or list goes through ``json.dumps``, re-indented: its text has no raw
+    newline but its layout."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = (f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list and value:
+        ints = all(type(v) is int for v in value)
+        items = map(int.__repr__, value) if ints else (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _emit(args, payload: dict, text_renderer) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         print(text_renderer(payload))
 
@@ -201,11 +224,10 @@ def cmd_history(args) -> int:
         raise UsageError(f"pack id must be hex: {exc}") from exc
     if len(pack_id) != diagnostics.PACK_ID_LEN:
         raise UsageError(f"pack id must be {diagnostics.PACK_ID_LEN} bytes, got {len(pack_id)}")
-    entries = _store(args).history(pack_id)
     payload = {
         "command": "history",
         "pack_id": pack_id.hex(),
-        "entries": [e.to_json() for e in entries],
+        "entries": [e.to_json() for e in _store(args).history(pack_id)],
     }
     _emit(args, payload, lambda p: "\n".join(
         [f"{len(p['entries'])} entries for pack {p['pack_id']}"]

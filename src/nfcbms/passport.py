@@ -4,9 +4,11 @@ One newline-delimited JSON entry per delivered diagnostic packet, so a
 pack's history can be tracked across its lifetime.  Appends flush and
 fsync before returning, and every open of the file takes an advisory
 lock, so concurrent CLI invocations do not interleave half-written
-lines.  A last line without its newline is an append that a crash cut
-short: reads skip it and the next append truncates it.  A database
-backend would slot in behind the same two calls.
+lines; a read streams the file and holds its shared lock until it has
+built its last entry, so an append waits for a running ``history``.  A
+last line without its newline is an append that a crash cut short:
+reads skip it and the next append truncates it.  A database backend
+would slot in behind the same two calls.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class PassportEntry:
 
     def __post_init__(self) -> None:
         checked(self.diag, "diag", (DiagPacket,), "a DiagPacket")
+        checked(self.pack_id, "pack_id", (bytes,), "bytes")
         if self.pack_id not in [r.pack_id for r in self.diag.reports]:
             raise RangeViolation("entry pack_id must be the pack id of one of its reports")
         if not 0 <= checked(self.received_at, "received_at") < 1 << 64:
@@ -84,23 +87,36 @@ class PassportStore:
         return list(self._read())
 
     def _read(self) -> Iterator[PassportEntry]:
-        """Each committed entry in file order, built (so checked) as reached, from text decoded whole."""
+        """Each committed entry in file order, built (so checked) as reached, one line at a time.
+
+        A first pass checks that the store is UTF-8 before any line is parsed:
+        appends write ASCII, so only a line that is not decodes the committed text.
+        """
         if not self.path.exists():
             return
         try:
             with open(self.path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                lines = _committed(fh.read()).decode("utf-8").split("\n")[:-1]
+                for line in fh:
+                    if not _committed(line):
+                        break
+                    if not line.isascii():
+                        fh.seek(0)
+                        _committed(fh.read()).decode("utf-8")
+                        break
+                fh.seek(0)
+                for lineno, line in enumerate(fh, start=1):
+                    if not _committed(line):
+                        break
+                    try:
+                        entry = PassportEntry.from_json(json.loads(line[:-1].decode("utf-8")))
+                    except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:
+                        raise StoreError(f"{self.path}:{lineno}: corrupt entry: {exc}") from exc
+                    yield entry
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise StoreError(f"{self.path}: corrupt store: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                entry = PassportEntry.from_json(json.loads(line))
-            except (ValueError, KeyError, TypeError, RecursionError, NfcBmsError) as exc:
-                raise StoreError(f"{self.path}:{lineno}: corrupt entry: {exc}") from exc
-            yield entry
 
     def history(self, pack_id: bytes) -> list[PassportEntry]:
         """Entries covering one pack, time-ordered (stable for equal stamps).

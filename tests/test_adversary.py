@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_crypto as ref
-from nfcbms import adversary as adv, cli, diagnostics as dg, handshake as hs, sndef
+from nfcbms import adversary as adv, cli, diagnostics as dg, handshake as hs, secure_channel as sc, sndef
+from nfcbms.errors import TagMismatch
 
 
 def small_setup(seed: int = 1):
@@ -127,16 +128,17 @@ def test_secrecy_scan_catches_a_leak():
 def test_chosen_challenge_gets_double_transform_only():
     rng = random.Random(10)
     _, controller_cfg = adv._session_configs(rng)
-    from nfcbms import secure_channel as sc
-
-    strategy = adv.ChosenChallenge(probes=[sc.new_nonce(rng).bytes for _ in range(3)])
-    outcome = adv.run_chosen_challenge(controller_cfg, strategy, rng)
+    probes = [sc.new_nonce(rng).bytes for _ in range(3)]
+    outcome = adv.run_chosen_challenge(controller_cfg, probes, rng)
     assert not outcome.established_controller
     assert outcome.first_failure.frame_no == 4
-    assert len(strategy.responses) == 3
-    for probe, response in strategy.responses:
+    assert outcome.secrecy_hits == []
+    key = controller_cfg.master.bytes
+    for probe in probes:
+        # each probe meets a fresh controller of the same config, as in the play, and is answered
+        controller = controller_cfg.endpoint(hs.Role.CONTROLLER, b"ADVR")
+        response = controller.controller_respond(hs.frame(1, b"ADVR", probe))[hs.FRAME_HEADER_LEN + 16:]
         plain = (controller_cfg.principal_id + probe).ljust(32, b"\x00")
-        key = controller_cfg.master.bytes
         single = ref.cbc_encrypt(key, bytes(16), plain)
         double = ref.cbc_encrypt(key, bytes(16), single)
         assert response == double
@@ -157,6 +159,49 @@ def test_a_single_pass_oracle_wins_chosen_challenge_and_fails_attack(monkeypatch
     assert (played.successes, played.leaks, report.total_successes) == (5, 5, 5)
     assert cli.main(["attack", "--strategy", "chosen-challenge", "--runs", "5", "--seed", "3"]) == cli.EXIT_PROTOCOL
     assert json.loads(capsys.readouterr().out)["report"]["total_successes"] == 5
+
+
+def seal_in_the_clear(state, plaintext, add_data, rng):
+    """A record channel that skips encryption: the padded plaintext is sent as is, its tags still chained."""
+    iv, sec_data = rng.randbytes(sc.BLOCK), sc.pkcs7_pad(plaintext)
+    state.last_tag_sent = sc._chained_tag(state.keys.mac, sec_data, iv, add_data, state.last_tag_sent)
+    return sc.SecureRecord(iv, sec_data, add_data, state.last_tag_sent)
+
+
+def open_in_the_clear(state, record):
+    expected = sc._chained_tag(state.keys.mac, record.sec_data, record.iv, record.add_data, state.last_tag_received)
+    if expected != record.tag:
+        raise TagMismatch("record tag does not verify at this chain position")
+    state.last_tag_received = record.tag
+    return sc.pkcs7_unpad(record.sec_data)
+
+
+def open_without_the_tag(state, record):
+    """A reader that decrypts a record without checking its tag."""
+    state.last_tag_received = record.tag
+    return sc.pkcs7_unpad(state.keys.enc.cbc_decrypt(record.iv, record.sec_data))
+
+
+@pytest.mark.parametrize("name, weakness, seeds, runs, counts", [
+    # counts at seed 3: (successes, leaks); a channel in the clear also lets replay win 3 of 10 and bitflip 4
+    ("eavesdrop", {"seal_record": seal_in_the_clear, "open_record": open_in_the_clear}, (0, 1, 2), 10, (10, 10)),
+    # most flips still break the padding or the packet; no other strategy wins
+    ("bitflip", {"open_record": open_without_the_tag}, (50, 63, 101), 40, (3, 0)),
+], ids=["eavesdrop-channel-in-the-clear", "bitflip-tag-unchecked"])
+def test_a_planted_weakness_wins_its_play_and_fails_attack(name, weakness, seeds, runs, counts, monkeypatch, capsys):
+    """The canaries: each judge says `won` once the record channel is weakened, in the test only."""
+    assert not any(adv._run(name, random.Random(seed))[1] for seed in seeds)
+    for attr, weak in weakness.items():
+        monkeypatch.setattr(sc, attr, weak)
+    for seed in seeds:
+        outcome, won = adv._run(name, random.Random(seed))
+        assert won and outcome.established, seed
+    report = adv.run_attack_suite(3, runs_per_strategy=runs, strategies=(name,))
+    played = report.strategies[name]
+    assert (played.successes, played.leaks) == counts
+    assert report.total_successes == counts[0]
+    assert cli.main(["attack", "--strategy", name, "--runs", str(runs), "--seed", "3"]) == cli.EXIT_PROTOCOL
+    assert json.loads(capsys.readouterr().out)["report"]["total_successes"] == counts[0]
 
 
 def test_suite_zero_successes_small():

@@ -12,14 +12,17 @@ the goldens only when an output is meant to change:
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import json
+import math
 import os
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfcbms import cli
 
@@ -226,6 +229,33 @@ def test_goldens_hold_when_the_cases_run_in_reverse_order(tmp_path, monkeypatch)
         workdir.mkdir()
         monkeypatch.chdir(workdir)
         assert run_case(CASES[name], workdir) == golden[name], name
+
+
+class Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 7
+
+
+class Name(str):
+    pass
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+           | st.text() | st.sampled_from(list(Level)) | st.text(max_size=3).map(Name))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple) | st.lists(st.integers())
+                   | st.dictionaries(st.text(), inner) | st.dictionaries(st.integers(), inner)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_json_writer_writes_what_json_dumps_does(value):
+    # NaN, infinities, bools, None, tuples, an IntEnum, str subclasses, non-ASCII text, int keys,
+    # empty and nested containers: the ones it does not write itself go through json.dumps, re-indented
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def record() -> None:

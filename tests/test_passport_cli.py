@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import fcntl
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -252,6 +255,31 @@ def test_history_is_the_sorted_entries_that_carry_the_pack(stored, pack, tmp_pat
     assert store.history(carried) == expected
 
 
+def test_history_holds_one_line_and_its_matches_whatever_the_store_size(tmp_path):
+    # one entry of pack 1 among entries of four other packs each: the query reads every line but
+    # holds one at a time, so its peak is a small share of the store and grows far less than the store
+    other = dg.collect_from_bpcs([dg.report_from_json(report_dict(n)) for n in range(2, 6)], seq=0)
+    entry = passport.PassportEntry(other.reports[0].pack_id, 5, other, "s", "ACTIVE_DIAG")
+    line = json.dumps(entry.to_json()) + "\n"
+    match = make_entry(1, 7)
+    sizes, peaks = [], []
+    for count in (500, 2000):
+        path = tmp_path / f"s{count}.ndjson"
+        path.write_text(line * (count // 2) + json.dumps(match.to_json()) + "\n" + line * (count - count // 2 - 1))
+        gc.collect()  # a full collection also empties the interpreter's free lists
+        tracemalloc.start()
+        try:
+            assert passport.PassportStore(path).history(match.pack_id) == [match]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+        assert peaks[-1] < sizes[-1] / 4, (count, peaks[-1], sizes[-1])
+    # what does grow is CPython's tuple free list, which keeps up to 2000 freed tuples of each size
+    # (a reports tuple per line read): tens of bytes per line, where reading the store whole took 2x its size
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4, (peaks, sizes)
+
+
 # --- CLI ---
 
 
@@ -494,6 +522,16 @@ def test_cli_history_out_of_range_or_mistyped_store_value_exit3(where, key, valu
     assert err == f"store error: {store}:1: corrupt entry: {detail}\n"
 
 
+@pytest.mark.parametrize("pack_id, detail", [
+    (bytearray(bytes([1]) * 8), "pack_id must be bytes, not bytearray"),  # equal to the report's id, unhashable
+    (5, "pack_id must be bytes, not int"),
+], ids=["pack-id-bytearray", "pack-id-number"])
+def test_an_entry_built_in_python_types_its_pack_id_before_any_range(pack_id, detail):
+    entry = make_entry(1, 100)
+    with pytest.raises(RangeViolation, match=f"^{detail}$"):
+        dataclasses.replace(entry, pack_id=pack_id)
+
+
 TORN = b'{"diag": {"origin": 1, "reports": [{"cell_vol'  # an append cut short
 WHOLE = json.dumps(make_entry(1, 100).to_json(), sort_keys=True).encode()  # an entry without its newline
 # what a crash can leave after the last newline: only 0x0A ends a line, so
@@ -722,6 +760,33 @@ def test_cli_history_undecodable_byte_after_a_corrupt_line_is_a_corrupt_store(tm
     code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
     assert code == 3
     assert err.startswith(f"store error: {store}: corrupt store: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("before", [b"", "caf\u00e9\u2028".encode()], ids=["ascii", "utf-8"])
+def test_cli_history_names_an_undecodable_byte_by_its_place_in_the_store(before, tmp_path, capsys):
+    # valid UTF-8 text in an earlier string does not hide the bad byte, and its position counts every line
+    good = json.dumps(dict(make_entry(1, 100).to_json(), session_id="SID")).encode().replace(b"SID", before)
+    store = tmp_path / "s.ndjson"
+    store.write_bytes(good + b"\n" + good[:9] + b"\xe9\n" + b"\xff")  # the uncommitted tail is never decoded
+    code, err = run_cli_error(["history", "01" * 8, "--store", str(store)], capsys)
+    assert code == 3
+    assert err == (f"store error: {store}: corrupt store: 'utf-8' codec can't decode byte 0xe9 "
+                   f"in position {len(good) + 10}: invalid continuation byte\n")
+
+
+def test_an_append_waits_for_a_running_history_read(tmp_path):
+    # the shared lock is held from the first line to the last entry built, and released after
+    path = tmp_path / "s.ndjson"
+    store = passport.PassportStore(path)
+    for n in (1, 2):
+        store.append(make_entry(n, 100 * n))
+    reading = store._read()
+    assert next(reading) == make_entry(1, 100)
+    with open(path, "rb") as other:
+        with pytest.raises(BlockingIOError):
+            fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert list(reading) == [make_entry(2, 200)]
+        fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
 
 
 def test_cli_history_undecodable_store_exit3(tmp_path, capsys):
