@@ -30,14 +30,9 @@ SECRECY_WINDOW = 8
 # the block at ceil(j / 4) * 4 <= j + 3, which ends by j + 7
 BLOCK = SECRECY_WINDOW // 2
 _FORMATS = {BLOCK: "I", SECRECY_WINDOW: "Q"}
-# the most windows a scan searches for one by one rather than hash: a session
-# builds one set of the link's blocks only if one of its plaintexts has more
-# windows than this, and looks for the link windows around the blocks its
-# plaintexts meet only while those are no more than this.  On attack-sized links
-# (about 670 B) the block set costs as much as 15 window searches, so a lower
-# bound would pay there, but it would also move handshake_storm's idle packets
-# (27-45 windows) off the direct path; hashing the windows of a 1.8-8 KB
-# plaintext costs as much as 80-115 searches of it
+# the most link windows a scan searches its plaintexts for one by one: those
+# around the aligned blocks the plaintexts meet; past this it hashes every link
+# window once instead
 SCAN_DIRECT_MAX_WINDOWS = 64
 # the principal ids of every session the CLI and the attack suite drive
 READER_ID, CONTROLLER_ID = b"NRD1", b"MNC1"
@@ -236,37 +231,29 @@ def _met_windows(blob: bytes, values: set) -> set | None:
     return {blob[j:j + SECRECY_WINDOW] for at in starts for j in range(max(0, at - BLOCK + 1), min(at, last) + 1)}
 
 
-def _is_long(plain: bytes) -> bool:
-    return len(plain) - SECRECY_WINDOW + 1 > SCAN_DIRECT_MAX_WINDOWS
-
-
 def scan_secrecy(transcript_blob: bytes, plaintexts: list) -> list:
     """The first >= 8-byte window of each plaintext that leaks into the
     transcript, in hex.
 
-    A session with a plaintext of more than ``SCAN_DIRECT_MAX_WINDOWS``
-    windows builds one set of the transcript's 4-aligned blocks.  Every
-    8-byte window holds one of them, so a plaintext none of whose 4-byte
-    windows is in the set cannot leak.  The block values the plaintexts do
-    meet are expanded once into the transcript windows that start 0-3 bytes
-    before their aligned copies, and each plaintext that met the set is
-    searched for those; when they could be more than ``SCAN_DIRECT_MAX_WINDOWS``,
-    it is checked against one set of every transcript window instead.  Only
-    a plaintext holding one of them, or any plaintext of a session with no
-    long one, pays for the window-by-window search that names its first
-    leaking window.
+    The transcript's 4-aligned blocks go into one set.  Every 8-byte window
+    holds one of them, so a plaintext none of whose 4-byte windows is in the
+    set cannot leak.  The block values the plaintexts do meet are expanded
+    once into the transcript windows that start 0-3 bytes before their
+    aligned copies, and each plaintext that met the set is searched for
+    those; when they could be more than ``SCAN_DIRECT_MAX_WINDOWS``, it is
+    checked against one set of every transcript window instead.  Only a
+    plaintext holding one of them pays for the window-by-window search that
+    names its first leaking window.
     """
-    suspects = plaintexts
-    if any(map(_is_long, plaintexts)):
-        link_blocks = set(_blocks(transcript_blob))
-        met = [set().union(*map(link_blocks.intersection, _words(plain, BLOCK))) for plain in plaintexts]
-        suspects = [plain for plain, values in zip(plaintexts, met) if values]
-        near = _met_windows(transcript_blob, set().union(*met))
-        if near is None:  # too many to search for: one set of every link window
-            link = set(chain.from_iterable(_words(transcript_blob)))
-            suspects = [plain for plain in suspects if not all(map(link.isdisjoint, _words(plain)))]
-        else:
-            suspects = [plain for plain in suspects if any(window in plain for window in near)]
+    link_blocks = set(_blocks(transcript_blob))
+    met = [set().union(*map(link_blocks.intersection, _words(plain, BLOCK))) for plain in plaintexts]
+    suspects = [plain for plain, values in zip(plaintexts, met) if values]
+    near = _met_windows(transcript_blob, set().union(*met))
+    if near is None:  # too many to search for: one set of every link window
+        link = set(chain.from_iterable(_words(transcript_blob)))
+        suspects = [plain for plain in suspects if not all(map(link.isdisjoint, _words(plain)))]
+    else:
+        suspects = [plain for plain in suspects if any(window in plain for window in near)]
     hits = []
     for plain in suspects:
         for i in range(len(plain) - SECRECY_WINDOW + 1):

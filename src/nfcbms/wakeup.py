@@ -269,7 +269,7 @@ def compare_traces(model: PowerModel, traces: dict) -> dict:
     return {
         "methods": {
             m.value: {
-                "idle_power_uw": model.idle_nw(m) / 1000,
+                "idle_power_uw": idle_power(model, m),
                 "avg_power_uw": traces[m].avg_power_uw,
                 "total_energy_uj": traces[m].total_energy_uj,
                 "wakeup_latency_ms": model.wakeup_latency_ms(m),

@@ -145,6 +145,25 @@ def test_chosen_challenge_gets_double_transform_only():
         assert response != single
 
 
+def test_an_all_zero_probe_is_refused_at_message_2_and_is_no_hit():
+    rng = random.Random(10)
+    _, controller_cfg = adv._session_configs(rng)
+    outcome = adv.run_chosen_challenge(controller_cfg, [bytes(16), sc.new_nonce(rng).bytes], rng)
+    failure = outcome.first_failure
+    assert (failure.frame_no, failure.operation, failure.error) == (2, "controller_respond", "InvalidNonce")
+    assert not outcome.established_controller
+    assert outcome.secrecy_hits == []  # the refused probe has no response to judge; the other is double
+
+
+def assert_the_suite_counts(name: str, runs: int, counts: tuple, capsys) -> None:
+    """At seed 3, ``run_attack_suite`` counts ``(successes, leaks)`` for ``name``, and ``attack`` exits 1."""
+    report = adv.run_attack_suite(3, runs_per_strategy=runs, strategies=(name,))
+    played = report.strategies[name]
+    assert (played.successes, played.leaks, report.total_successes) == (*counts, counts[0])
+    assert cli.main(["attack", "--strategy", name, "--runs", str(runs), "--seed", "3"]) == cli.EXIT_PROTOCOL
+    assert json.loads(capsys.readouterr().out)["report"]["total_successes"] == counts[0]
+
+
 def test_a_single_pass_oracle_wins_chosen_challenge_and_fails_attack(monkeypatch, capsys):
     """The canary: a controller that answers message 1 with one CBC pass."""
     respond = hs.HandshakeState.controller_respond
@@ -154,11 +173,20 @@ def test_a_single_pass_oracle_wins_chosen_challenge_and_fails_attack(monkeypatch
         return head + ref.cbc_encrypt(self.master.bytes, bytes(16), hs.challenge_plain(self.self_id, self.ch_r))
 
     monkeypatch.setattr(hs.HandshakeState, "controller_respond", respond_with_one_pass)
-    report = adv.run_attack_suite(3, runs_per_strategy=5, strategies=("chosen-challenge",))
-    played = report.strategies["chosen-challenge"]
-    assert (played.successes, played.leaks, report.total_successes) == (5, 5, 5)
-    assert cli.main(["attack", "--strategy", "chosen-challenge", "--runs", "5", "--seed", "3"]) == cli.EXIT_PROTOCOL
-    assert json.loads(capsys.readouterr().out)["report"]["total_successes"] == 5
+    assert_the_suite_counts("chosen-challenge", 5, (5, 5), capsys)
+
+
+def test_a_forged_key_confirmation_wins_chosen_challenge_and_fails_attack(monkeypatch, capsys):
+    """The canary: a controller that confirms the key whatever message 3 answers."""
+
+    def confirm_any_answer(self, msg3):
+        self._require(hs.Role.CONTROLLER, hs.Phase.CHALLENGED)
+        self._receive(msg3, 3)
+        self._open_channel(hs.Phase.KEY_CONFIRM_SENT)
+        return self._seal_confirm(4)
+
+    monkeypatch.setattr(hs.HandshakeState, "controller_key_confirm", confirm_any_answer)
+    assert_the_suite_counts("chosen-challenge", 5, (5, 0), capsys)
 
 
 def seal_in_the_clear(state, plaintext, add_data, rng):
@@ -182,26 +210,44 @@ def open_without_the_tag(state, record):
     return sc.pkcs7_unpad(state.keys.enc.cbc_decrypt(record.iv, record.sec_data))
 
 
+derive_session_keys, seal_record, open_record = sc.derive_session_keys, sc.seal_record, sc.open_record
+
+
+def keys_of_no_session(master, ch_r, ch_t):
+    """A key derivation that ignores the challenges: every session of a master key gets one key pair."""
+    return derive_session_keys(master, sc.Nonce(b"\x01" * sc.NONCE_LEN), sc.Nonce(b"\x02" * sc.NONCE_LEN))
+
+
+def seal_unchained(state, plaintext, add_data, rng):
+    """A record channel whose tag chain restarts at the sentinel on every record."""
+    state.last_tag_sent = sc.CHAIN_SENTINEL
+    return seal_record(state, plaintext, add_data, rng)
+
+
+def open_unchained(state, record):
+    state.last_tag_received = sc.CHAIN_SENTINEL
+    return open_record(state, record)
+
+
 @pytest.mark.parametrize("name, weakness, seeds, runs, counts", [
     # counts at seed 3: (successes, leaks); a channel in the clear also lets replay win 3 of 10 and bitflip 4
     ("eavesdrop", {"seal_record": seal_in_the_clear, "open_record": open_in_the_clear}, (0, 1, 2), 10, (10, 10)),
     # most flips still break the padding or the packet; no other strategy wins
     ("bitflip", {"open_record": open_without_the_tag}, (50, 63, 101), 40, (3, 0)),
-], ids=["eavesdrop-channel-in-the-clear", "bitflip-tag-unchecked"])
+    # an earlier session's record then opens in this one, so replay wins by delivery, with no leak; either
+    # weakness alone gives 0 wins at seed 3, each replayed record failing with TagMismatch
+    ("replay", {"derive_session_keys": keys_of_no_session, "seal_record": seal_unchained,
+                "open_record": open_unchained}, (6, 11, 12), 40, (11, 0)),
+], ids=["eavesdrop-channel-in-the-clear", "bitflip-tag-unchecked", "replay-keys-and-chain-unbound"])
 def test_a_planted_weakness_wins_its_play_and_fails_attack(name, weakness, seeds, runs, counts, monkeypatch, capsys):
-    """The canaries: each judge says `won` once the record channel is weakened, in the test only."""
+    """The canaries: each judge says `won` once the record channel or its keys are weakened, in the test only."""
     assert not any(adv._run(name, random.Random(seed))[1] for seed in seeds)
     for attr, weak in weakness.items():
         monkeypatch.setattr(sc, attr, weak)
     for seed in seeds:
         outcome, won = adv._run(name, random.Random(seed))
         assert won and outcome.established, seed
-    report = adv.run_attack_suite(3, runs_per_strategy=runs, strategies=(name,))
-    played = report.strategies[name]
-    assert (played.successes, played.leaks) == counts
-    assert report.total_successes == counts[0]
-    assert cli.main(["attack", "--strategy", name, "--runs", str(runs), "--seed", "3"]) == cli.EXIT_PROTOCOL
-    assert json.loads(capsys.readouterr().out)["report"]["total_successes"] == counts[0]
+    assert_the_suite_counts(name, runs, counts, capsys)
 
 
 def test_suite_zero_successes_small():
@@ -396,8 +442,8 @@ def reference_scan(transcript_blob: bytes, plaintexts: list) -> list:
     return hits
 
 
-# the longest plaintext that is still checked window by window only
-LONGEST_DIRECT = adv.SCAN_DIRECT_MAX_WINDOWS + adv.SECRECY_WINDOW - 1
+# a plaintext of 64 windows: longer than a packet of one eight-cell report (52 B), far shorter than a bulk one
+MID_LENGTH = 71
 
 
 def blob_of(pieces: list) -> bytes:
@@ -422,8 +468,8 @@ def scan_inputs(draw):
     """Frames and plaintexts over a 1-4 symbol alphabet, so windows recur
     often, and maybe one plaintext's first or last window planted across a
     sent/delivered boundary (even ``j``) or a frame boundary (odd ``j``).
-    About half the examples mix in 2-4 plaintexts above the threshold,
-    which share the session's one set, and plant the leak in one of them."""
+    About half the examples mix in 2-4 longer plaintexts, which share the
+    session's one block set, and plant the leak in one of them."""
     symbols = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
     to_symbols = bytes(symbols[b % len(symbols)] for b in range(256))
 
@@ -434,14 +480,14 @@ def scan_inputs(draw):
 
     lengths = st.one_of(
         st.integers(0, adv.SECRECY_WINDOW),  # no window, or exactly one
-        st.integers(LONGEST_DIRECT - 1, LONGEST_DIRECT + 2),  # both sides of the threshold
+        st.integers(MID_LENGTH - 1, MID_LENGTH + 2),  # 70-73 bytes: 63-66 windows
         st.integers(0, 300),
     )
     plaintexts = draw(st.lists(text(lengths), max_size=4))
     frames = draw(st.integers(1, 6))
     pieces = draw(st.lists(text(st.integers(0, 40)), min_size=2 * frames, max_size=2 * frames))
     if draw(st.booleans()):
-        leaky = draw(st.lists(text(st.integers(LONGEST_DIRECT + 1, 300)), min_size=2, max_size=4))
+        leaky = draw(st.lists(text(st.integers(MID_LENGTH + 1, 300)), min_size=2, max_size=4))
         plaintexts = draw(st.permutations(plaintexts + leaky))
         where = draw(st.sampled_from(["first", "last"]))
     else:
@@ -462,7 +508,7 @@ def test_scan_secrecy_equals_the_window_by_window_reference(inputs):
     assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts)
 
 
-@pytest.mark.parametrize("length", [adv.SECRECY_WINDOW, LONGEST_DIRECT, LONGEST_DIRECT + 1, 8000])
+@pytest.mark.parametrize("length", [adv.SECRECY_WINDOW, MID_LENGTH, MID_LENGTH + 1, 8000])
 @pytest.mark.parametrize("where", ["first", "last"])
 @pytest.mark.parametrize("boundary", [0, 1], ids=["sent|delivered", "frame|frame"])
 def test_scan_names_a_window_planted_across_a_boundary(length, where, boundary):
@@ -479,7 +525,7 @@ def test_scan_names_a_window_planted_across_a_boundary(length, where, boundary):
 @pytest.mark.parametrize("leaking", [(0, 1), (0, 3), (1, 2), (2, 3)])
 def test_scan_names_every_leaking_long_plaintext_in_plaintext_order(leaking):
     rng = random.Random(sum(leaking))
-    plaintexts = [rng.randbytes(LONGEST_DIRECT + 1 + 100 * n) for n in range(4)]
+    plaintexts = [rng.randbytes(MID_LENGTH + 1 + 100 * n) for n in range(4)]
     pieces = [rng.randbytes(40) for _ in range(6)]
     windows = [plaintexts[n][-adv.SECRECY_WINDOW:] for n in leaking]
     plant(pieces, 3, windows[1], 5)  # the later plaintext's leak goes on the wire first
@@ -499,16 +545,14 @@ class SearchCountingBlob(bytes):
         return super().__contains__(window)
 
 
-@pytest.mark.parametrize("lengths, transcript_walks", [
-    ([], 0),
-    ([0, adv.SECRECY_WINDOW - 1, adv.SECRECY_WINDOW, LONGEST_DIRECT], 0),
-    ([LONGEST_DIRECT + 1], 1),
-    ([LONGEST_DIRECT + 1, LONGEST_DIRECT], 1),
-    ([LONGEST_DIRECT, 300, LONGEST_DIRECT + 1, 8000], 1),
+@pytest.mark.parametrize("lengths", [
+    [],
+    [0, adv.SECRECY_WINDOW - 1, adv.SECRECY_WINDOW, MID_LENGTH],
+    [MID_LENGTH + 1],
+    [MID_LENGTH + 1, MID_LENGTH],
+    [MID_LENGTH, 300, MID_LENGTH + 1, 8000],
 ], ids=["none", "all-short", "one-long", "long-and-short", "mixed"])
-def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
-    monkeypatch, lengths, transcript_walks
-):
+def test_a_clean_scan_walks_the_transcript_once(monkeypatch, lengths):
     rng = random.Random(len(lengths))
     plaintexts = [rng.randbytes(n) for n in lengths]
     blob = SearchCountingBlob(blob_of([rng.randbytes(200) for _ in range(4)]))
@@ -517,25 +561,23 @@ def test_a_clean_scan_walks_the_transcript_once_and_only_for_long_plaintexts(
     monkeypatch.setattr(adv, "_blocks", lambda data: viewed.append((data, "blocks")) or blocks(data))
     monkeypatch.setattr(adv, "_words", lambda data, width: viewed.append((data, width)) or words(data, width))
     assert adv.scan_secrecy(blob, plaintexts) == []
-    if not transcript_walks:
-        assert viewed == []
-    else:  # one set of the link's aligned blocks, each plaintext's 4-byte windows checked against it once
-        assert viewed == [(blob, "blocks"), *((plain, adv.BLOCK) for plain in plaintexts)]
-        assert blob.searches == 0  # the set covered the short plaintexts too: no window-by-window search
+    # one set of the link's aligned blocks, each plaintext's 4-byte windows checked against it once
+    assert viewed == [(blob, "blocks"), *((plain, adv.BLOCK) for plain in plaintexts)]
+    assert blob.searches == 0  # no plaintext met the set: no window-by-window search
 
 
 @pytest.mark.parametrize("tail", range(adv.BLOCK), ids=lambda tail: f"length%4={tail}")
 @pytest.mark.parametrize("phase", range(adv.BLOCK), ids=lambda phase: f"offset%4={phase}")
 def test_scan_finds_a_window_at_every_offset_in_every_blob_length(phase, tail):
     rng = random.Random(adv.BLOCK * phase + tail)
-    plain = rng.randbytes(LONGEST_DIRECT + 1)
+    plain = rng.randbytes(MID_LENGTH + 1)
     window = plain[40:40 + adv.SECRECY_WINDOW]
     # the window starts at ``phase`` mod 4 and ends 0-3 bytes before the blob does; where
     # phase + suffix < 4 its only aligned block is the blob's last full one
     suffix = (tail - phase) % adv.BLOCK
     blob = rng.randbytes(100 + phase) + window + rng.randbytes(suffix)
     assert len(blob) % adv.BLOCK == tail and blob.index(window) % adv.BLOCK == phase
-    plaintexts = [rng.randbytes(LONGEST_DIRECT + 1), plain]
+    plaintexts = [rng.randbytes(MID_LENGTH + 1), plain]
     assert adv.scan_secrecy(blob, plaintexts) == reference_scan(blob, plaintexts) == [window.hex()]
 
 
@@ -566,7 +608,7 @@ def test_a_repetitive_link_hashes_no_more_windows_than_it_has(monkeypatch, unit)
         return text[:n // 2] + planted + text[n // 2:]
 
     run = unit * adv.SECRECY_WINDOW
-    plaintexts = [zero_heavy(LONGEST_DIRECT + 1), zero_heavy(300, run[:adv.BLOCK]),
+    plaintexts = [zero_heavy(MID_LENGTH + 1), zero_heavy(300, run[:adv.BLOCK]),
                   zero_heavy(2000, run[:adv.SECRECY_WINDOW]), zero_heavy(500)]
     hashed = []  # the link windows the scan hashes: through the window helper, or as the met blocks' windows
     words, met_windows = adv._words, adv._met_windows
